@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import log_gaussian_diag, log_sum_exp, log_weibull_censored, softmax, softplus, softplus_grad, weibull_median
+from .dist import log_gaussian_diag, log_sum_exp, softmax, softplus, softplus_grad, weibull_censored_grads, weibull_median
 from .errors import ConfigError, ShapeError
 from .nnet import AdamState, adam_step
 
@@ -145,13 +145,8 @@ def _aft_objective_grads(w, log_k, X1, t, event, ridge):
     k = float(np.exp(log_k))
     pre = X1 @ w
     lam = np.maximum(softplus(pre), 1e-12)
-    ll = log_weibull_censored(t, event, lam, k)
-    ratio_k = np.exp(k * (np.log(t) - np.log(lam)))
-    dlam = (k / lam) * (ratio_k - event)
-    dpre = dlam * softplus_grad(pre)
-    gw = X1.T @ dpre / len(t)
-    log_ratio = np.log(t) - np.log(lam)
-    dk = event * (1.0 / k + log_ratio) - ratio_k * log_ratio
+    ll, dlam, dk = weibull_censored_grads(t, event, lam, k)
+    gw = X1.T @ (dlam * softplus_grad(pre)) / len(t)
     g_log_k = float(dk.mean() * k)
     obj = float(ll.mean()) - ridge * float(w[1:] @ w[1:])
     gw[1:] -= 2.0 * ridge * w[1:]
@@ -184,16 +179,6 @@ def weibull_aft_fit(X, t, event, ridge=1e-3, seed=0, fixed_shape=None,
     return WeibullAftModel(
         params["w"].copy(), float(np.exp(params["log_k"][0])), ridge
     )
-
-
-def weibull_aft_objective(model, X, t, event):
-    """Objective value at the model's parameters (for sanity checks)."""
-    X1 = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-    obj, _, _ = _aft_objective_grads(
-        model.coefficients, np.log(model.shape), X1,
-        np.asarray(t, dtype=float), np.asarray(event, dtype=float), model.ridge,
-    )
-    return obj
 
 
 def weibull_aft_predict(model, X):

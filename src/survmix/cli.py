@@ -8,6 +8,7 @@ checkpoints are a small binary container of named float64 tensors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import struct
 import sys
@@ -28,10 +29,11 @@ from .datagen import (
     preprocess,
     save_csv,
     train_test_split,
+    _read_exact,
 )
 from .errors import ConfigError, FormatError, ShapeError, SurvmixError
 from .model import ModelParams, TrainConfig
-from .nnet import DenseNet
+from .nnet import ACTIVATIONS, DenseNet
 
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 1
@@ -137,14 +139,16 @@ def _write_str(f, s):
 
 
 def _read_str(f, path):
-    raw = f.read(2)
-    if len(raw) != 2:
-        raise FormatError(f"{path}: truncated string length at byte {f.tell() - len(raw)}")
-    (n,) = struct.unpack("<H", raw)
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated string at byte {f.tell() - len(data)}")
-    return data.decode("utf-8")
+    (n,) = struct.unpack("<H", _read_exact(f, 2, path, "string length"))
+    data = _read_exact(f, n, path, "string")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: string at byte {f.tell() - n} is not UTF-8: {exc}") from None
+
+
+def _read_u32(f, path, what):
+    return struct.unpack("<I", _read_exact(f, 4, path, what))[0]
 
 
 def save_checkpoint(params, stats, config_values, path):
@@ -185,72 +189,62 @@ def save_checkpoint(params, stats, config_values, path):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, PreprocessStats, config echo dict)."""
+    """Returns (ModelParams, PreprocessStats, config echo dict).
+
+    Any malformed or incomplete file raises FormatError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4, path, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise FormatError(f"{path}: truncated version at byte 4")
-        (version,) = struct.unpack("<I", raw)
+        version = _read_u32(f, path, "version")
         if version != CHECKPOINT_VERSION:
             raise FormatError(
                 f"{path}: unsupported checkpoint version {version}, "
                 f"expected {CHECKPOINT_VERSION}"
             )
-        (n_meta,) = struct.unpack("<I", f.read(4))
         meta = {}
-        for _ in range(n_meta):
+        for _ in range(_read_u32(f, path, "meta count")):
             key = _read_str(f, path)
             meta[key] = _read_str(f, path)
-        (n_tensors,) = struct.unpack("<I", f.read(4))
         tensors = {}
-        for _ in range(n_tensors):
+        for _ in range(_read_u32(f, path, "tensor count")):
             name = _read_str(f, path)
-            raw = f.read(1)
-            if len(raw) != 1:
-                raise FormatError(f"{path}: truncated tensor rank at byte {f.tell() - 1}")
-            (rank,) = struct.unpack("<B", raw)
-            shape = []
-            for _ in range(rank):
-                shape.append(struct.unpack("<I", f.read(4))[0])
-            count = int(np.prod(shape)) if shape else 1
-            payload = f.read(8 * count)
-            if len(payload) != 8 * count:
-                raise FormatError(
-                    f"{path}: truncated tensor {name!r} at byte "
-                    f"{f.tell() - len(payload)}: expected {8 * count} bytes"
-                )
+            (rank,) = struct.unpack("<B", _read_exact(f, 1, path, "tensor rank"))
+            shape = [_read_u32(f, path, f"tensor {name!r} shape") for _ in range(rank)]
+            count = math.prod(shape)
+            payload = _read_exact(f, 8 * count, path, f"tensor {name!r}")
             arr = np.frombuffer(payload, dtype="<f8").copy()
             tensors[name] = arr.reshape(shape) if shape else arr[0]
 
     def build_net(prefix, acts):
         net = DenseNet()
         for i, act in enumerate(acts):
+            if act not in ACTIVATIONS:
+                raise FormatError(f"{path}: unknown activation {act!r} in layer {prefix}.{i}")
             net.weights.append(tensors[f"{prefix}.W{i}"])
             net.biases.append(tensors[f"{prefix}.b{i}"])
             net.activations.append(act)
         return net
 
-    enc_acts = meta["arch.enc_acts"].split(",")
-    dec_acts = meta["arch.dec_acts"].split(",")
-    params = ModelParams(
-        encoder=build_net("enc", enc_acts),
-        decoder=build_net("dec", dec_acts),
-        mixture_logits=tensors["mix.logits"],
-        means=tensors["mix.means"],
-        log_vars=tensors["mix.log_vars"],
-        betas=tensors["surv.betas"],
-        shape=float(np.ravel(tensors["surv.shape"])[0]),
-        gmm_prior=meta["arch.gmm_prior"] == "true",
-    )
-    stats = PreprocessStats(
-        max_time=float(np.ravel(tensors["stats.max_time"])[0]),
-        feature_mean=tensors["stats.feature_mean"],
-        feature_std=tensors["stats.feature_std"],
-        feature_kind=meta.get("stats.feature_kind", "real"),
-    )
+    try:
+        params = ModelParams(
+            encoder=build_net("enc", meta["arch.enc_acts"].split(",")),
+            decoder=build_net("dec", meta["arch.dec_acts"].split(",")),
+            mixture_logits=tensors["mix.logits"],
+            means=tensors["mix.means"],
+            log_vars=tensors["mix.log_vars"],
+            betas=tensors["surv.betas"],
+            shape=float(np.ravel(tensors["surv.shape"])[0]),
+            gmm_prior=meta["arch.gmm_prior"] == "true",
+        )
+        stats = PreprocessStats(
+            max_time=float(np.ravel(tensors["stats.max_time"])[0]),
+            feature_mean=tensors["stats.feature_mean"],
+            feature_std=tensors["stats.feature_std"],
+            feature_kind=meta.get("stats.feature_kind", "real"),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing checkpoint entry {exc}") from None
     return params, stats, meta
 
 

@@ -9,6 +9,7 @@ digit classes (with a surrogate-feature mode that needs no image files).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -108,20 +109,15 @@ def gen_spd(d, seed):
 def gen_low_rank(m, n, seed, mode="tail"):
     """m x n matrix of effective rank ceil(min(m, n) / 5).
 
-    mode="tail" (default): random orthogonal factors with a bell-shaped
-    singular-value profile plus a slowly decaying tail, so the matrix has
-    low *effective* rank but keeps a full-rank spectrum and loses no
-    information. mode="product": exact-rank factored product
-    (1/sqrt(r)) A B with standard-normal factors.
+    mode="tail", the only mode: random orthogonal factors with a
+    bell-shaped singular-value profile plus a slowly decaying tail, so the
+    matrix has low *effective* rank but keeps a full-rank spectrum and
+    loses no information.
     """
     if m < 1 or n < 1:
         raise ConfigError("dimensions must be >= 1")
     r = int(np.ceil(min(m, n) / 5))
     rng = np.random.default_rng(seed)
-    if mode == "product":
-        A = rng.standard_normal((m, r))
-        B = rng.standard_normal((r, n))
-        return A @ B / np.sqrt(r)
     if mode != "tail":
         raise ConfigError(f"unknown low-rank mode {mode!r}")
     p = min(m, n)
@@ -229,7 +225,8 @@ def gen_survmnist(config, features, digit_labels):
 
 
 def _read_exact(f, n, path, what):
-    data = f.read(n)
+    # n may come from a corrupt header: never ask for more than the file holds
+    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
     if len(data) != n:
         raise FormatError(
             f"{path}: truncated {what} at byte {f.tell() - len(data)}: "
@@ -346,6 +343,8 @@ def preprocess(dataset, stats=None):
     if dataset.processed:
         return dataset, stats
     if stats is None:
+        if len(dataset) == 0:
+            raise ShapeError("cannot compute preprocessing statistics from zero rows")
         stats = PreprocessStats(
             max_time=float(dataset.times.max()),
             feature_mean=dataset.features.mean(axis=0),

@@ -1,8 +1,8 @@
 """Closed-form probability kernels.
 
-Diagonal Gaussians, the right-censored Weibull log-likelihood, entropies,
-and numerically stable log-domain reductions. Everything here is pure and
-vectorized over leading axes.
+Diagonal Gaussians, the right-censored Weibull log-likelihood and its
+gradient, and numerically stable log-domain reductions. Everything here
+is pure and vectorized over leading axes.
 """
 
 from __future__ import annotations
@@ -36,20 +36,21 @@ def log_gaussian_diag(z, mean, var):
     )
 
 
-def gaussian_entropy_diag(var):
-    """Differential entropy of a diagonal Gaussian: J/2 log(2πe) + ½Σ log σ²."""
-    var = np.asarray(var, dtype=float)
-    if np.any(var <= 0.0):
-        raise DomainError("variances must be strictly positive")
-    j = var.shape[-1]
-    return 0.5 * j * np.log(2.0 * np.pi * np.e) + 0.5 * np.sum(np.log(var), axis=-1)
-
-
 def log_weibull_censored(t, event, scale, shape):
     """Right-censored Weibull log-likelihood.
 
     event=1 rows contribute the log density, event=0 rows the log
     survival function. scale/shape broadcast against t.
+    """
+    return weibull_censored_grads(t, event, scale, shape)[0]
+
+
+def weibull_censored_grads(t, event, scale, shape):
+    """log_weibull_censored together with its derivatives.
+
+    Returns (log-likelihood, d/d scale, d/d shape), broadcast alike. With
+    r = (t/scale)^shape the derivatives are (shape/scale)(r - event) and
+    event (1/shape + log(t/scale)) - r log(t/scale).
     """
     t = np.asarray(t, dtype=float)
     event = np.asarray(event, dtype=float)
@@ -59,9 +60,12 @@ def log_weibull_censored(t, event, scale, shape):
     if np.any(scale <= 0.0) or shape <= 0.0:
         raise DomainError("Weibull scale and shape must be positive")
     log_ratio = np.log(t) - np.log(scale)
+    ratio_k = np.exp(shape * log_ratio)  # minus the log survival function
     log_density_part = np.log(shape) - np.log(scale) + (shape - 1.0) * log_ratio
-    log_survival = -np.exp(shape * log_ratio)
-    return event * log_density_part + log_survival
+    ll = event * log_density_part - ratio_k
+    d_scale = (shape / scale) * (ratio_k - event)
+    d_shape = event * (1.0 / shape + log_ratio) - ratio_k * log_ratio
+    return ll, d_scale, d_shape
 
 
 def weibull_median(scale, shape):

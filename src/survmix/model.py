@@ -7,25 +7,31 @@ responsibilities are recomputed from the current parameters every step
 and treated as fixed weights inside that step's gradient.
 
 The objective decomposes into five named terms: reconstruction, survival,
-clustering, prior, and variational entropy. ``elbo_value`` evaluates the
-objective for frozen noise and responsibilities (the finite-difference
-oracle path); ``elbo_grads`` additionally returns analytic gradients.
+clustering, prior, and variational entropy. ``elbo_grads`` is the one
+routine that computes it: encoder, reparameterization, decoder and, when
+survival times are given, the survival and mixture terms, followed by a
+single backward pass. ``fit`` calls it per batch, ``pretrain_init`` calls
+it without times (reconstruction only), and ``elbo_value`` returns its
+terms for frozen noise and responsibilities (the finite-difference oracle
+path). ``_latent_scores`` computes log p(z|c) + log pi, the Weibull scales
+and, given t, log p(t|z,c); the training pass, ``cluster_posterior*`` and
+``predict`` all use it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import gmm_em_fit
 from .dist import (
     log_gaussian_diag,
     log_sum_exp,
-    log_weibull_censored,
     softmax,
     softplus,
     softplus_grad,
+    weibull_censored_grads,
     weibull_median,
 )
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
@@ -95,18 +101,6 @@ class ModelParams:
     def input_dim(self):
         return self.encoder.input_dim
 
-    def copy(self):
-        return ModelParams(
-            self.encoder.copy(),
-            self.decoder.copy(),
-            self.mixture_logits.copy(),
-            self.means.copy(),
-            self.log_vars.copy(),
-            self.betas.copy(),
-            self.shape,
-            self.gmm_prior,
-        )
-
     def flat(self, trainable_only=True):
         """Named view of the parameter arrays (shared memory, not copies)."""
         out = {}
@@ -171,28 +165,43 @@ def reparameterize(mu, log_var, rng, n_samples=1):
 
 def weibull_scales(params, Z):
     """Per-component Weibull scales softplus([1;z]·beta_c) for a batch of z."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    pre = Z @ params.betas[:, 1:].T + params.betas[:, 0]
-    return np.maximum(softplus(pre), SCALE_FLOOR)
+    return _latent_scores(params, np.atleast_2d(np.asarray(Z, dtype=float))).scale
 
 
-def _component_log_joint(params, Z, t=None, event=None, survival_weight=1.0):
-    """Unnormalized log p(c, z[, t]) per row and component: (N, K)."""
+@dataclass
+class _LatentScores:
+    """Per-row, per-component pieces of log p(c, z[, t]) for a batch of z."""
+
+    var: np.ndarray  # (K, J) component variances
+    log_pz: np.ndarray  # (N, K) log p(z | c)
+    log_pi: np.ndarray  # (K,) log mixture weights
+    scale_pre: np.ndarray  # (N, K) Weibull scales before the softplus
+    scale: np.ndarray  # (N, K) Weibull scales
+    log_prior: np.ndarray  # (N, K) log p(z | c) + log pi
+    log_joint: np.ndarray  # (N, K) log_prior + survival_weight * log_pt
+    log_pt: np.ndarray | None  # (N, K) log p(t | z, c); None without t
+    dscale: np.ndarray | None  # (N, K) d log_pt / d scale; None without t
+
+
+def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
+    """Unnormalized log p(c, z[, t]) and its parts for Z of shape (N, J)."""
+    var = np.exp(params.log_vars)
+    log_pz = log_gaussian_diag(Z[:, None, :], params.means[None], var[None])
     log_pi = params.mixture_logits - log_sum_exp(params.mixture_logits)
-    log_pz = log_gaussian_diag(
-        Z[:, None, :], params.means[None], np.exp(params.log_vars)[None]
-    )
-    logits = log_pz + log_pi[None, :]
-    if t is not None and survival_weight != 0.0:
-        lam = weibull_scales(params, Z)
-        log_pt = log_weibull_censored(
+    pre = Z @ params.betas[:, 1:].T + params.betas[:, 0]
+    scale = np.maximum(softplus(pre), SCALE_FLOOR)
+    log_prior = log_pz + log_pi[None, :]
+    log_joint, log_pt, dscale = log_prior, None, None
+    if t is not None:
+        log_pt, dscale, _ = weibull_censored_grads(
             np.asarray(t, dtype=float)[:, None],
             np.asarray(event, dtype=float)[:, None],
-            lam,
+            scale,
             params.shape,
         )
-        logits = logits + survival_weight * log_pt
-    return logits
+        if survival_weight != 0.0:
+            log_joint = log_prior + survival_weight * log_pt
+    return _LatentScores(var, log_pz, log_pi, pre, scale, log_prior, log_joint, log_pt, dscale)
 
 
 def _normalize_log_posterior(logits):
@@ -207,15 +216,13 @@ def _normalize_log_posterior(logits):
 def cluster_posterior(params, Z, t, event):
     """p(c | z, t) row per input, computed in the log domain."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    logits = _component_log_joint(params, Z, t, event)
-    return _normalize_log_posterior(logits)
+    return _normalize_log_posterior(_latent_scores(params, Z, t, event).log_joint)
 
 
 def cluster_posterior_prior_only(params, Z):
     """p(c | z) when the survival time is unavailable."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    logits = _component_log_joint(params, Z)
-    return _normalize_log_posterior(logits)
+    return _normalize_log_posterior(_latent_scores(params, Z).log_prior)
 
 
 @dataclass
@@ -256,188 +263,88 @@ def _recon_log_lik(dec_out, X, recon_loss):
     return ll, grad
 
 
-def _forward_pass(params, X, t, event, eps, config, resp=None):
-    """Shared forward computation for ELBO value and gradients.
+def elbo_grads(params, X, t, event, eps, config, resp=None):
+    """The objective's one forward and backward pass: (ElboTerms, grads).
 
-    eps has shape (L, B, J). resp, when given, freezes the component
-    responsibilities (used by the gradient oracle); otherwise they are
-    recomputed from the current parameters.
+    eps (L, B, J) is the reparameterization noise. With t and event the
+    objective is the ELBO and grads covers every trainable parameter; the
+    responsibilities are treated as constants, recomputed from the
+    current parameters unless resp (n = L*B rows) freezes them. With
+    t=None it is the autoencoder objective of pretraining: reconstruction
+    only, with encoder and decoder gradients.
     """
-    B = X.shape[0]
-    L = eps.shape[0]
+    B, L, j = X.shape[0], eps.shape[0], params.latent_dim
+    n = L * B
     enc_out, enc_stack = net_forward(params.encoder, X)
-    j = params.latent_dim
     mu = enc_out[:, :j]
     log_var_raw = enc_out[:, j:]
     log_var = np.clip(log_var_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * log_var)
-    z = mu[None] + sigma[None] * eps  # (L, B, J)
-    Z = z.reshape(L * B, j)
-    Xrep = np.tile(X, (L, 1))
-    trep = np.tile(np.asarray(t, dtype=float), L)
-    erep = np.tile(np.asarray(event, dtype=float), L)
-
+    Z = (mu[None] + sigma[None] * eps).reshape(n, j)
     dec_out, dec_stack = net_forward(params.decoder, Z)
-    recon_ll, recon_grad = _recon_log_lik(dec_out, Xrep, config.recon_loss)
-
-    lam_pre = Z @ params.betas[:, 1:].T + params.betas[:, 0]
-    lam = np.maximum(softplus(lam_pre), SCALE_FLOOR)
-    log_pt = log_weibull_censored(trep[:, None], erep[:, None], lam, params.shape)
-
-    var_c = np.exp(params.log_vars)
-    log_pz = log_gaussian_diag(Z[:, None, :], params.means[None], var_c[None])
-    log_pi = params.mixture_logits - log_sum_exp(params.mixture_logits)
-
-    if resp is None:
-        logits = log_pz + log_pi[None, :]
-        if config.survival_weight != 0.0:
-            logits = logits + config.survival_weight * log_pt
-        resp = _normalize_log_posterior(logits)
-
-    return {
-        "B": B,
-        "L": L,
-        "enc_stack": enc_stack,
-        "dec_stack": dec_stack,
-        "mu": mu,
-        "log_var_raw": log_var_raw,
-        "log_var": log_var,
-        "sigma": sigma,
-        "Z": Z,
-        "recon_ll": recon_ll,
-        "recon_grad": recon_grad,
-        "lam_pre": lam_pre,
-        "lam": lam,
-        "log_pt": log_pt,
-        "log_pz": log_pz,
-        "log_pi": log_pi,
-        "resp": resp,
-        "trep": trep,
-        "erep": erep,
-        "var_c": var_c,
-    }
-
-
-def _terms_from_forward(f, config):
-    B, L = f["B"], f["L"]
-    resp = f["resp"]
-    n = L * B
-    recon = float(f["recon_ll"].sum() / n)
-    survival = float(config.survival_weight * (resp * f["log_pt"]).sum() / n)
-    clustering = float((resp * f["log_pz"]).sum() / n)
-    prior = float((resp * f["log_pi"][None, :]).sum() / n)
-    j = f["mu"].shape[1]
-    gauss_ent = 0.5 * np.sum(np.log(2.0 * np.pi) + 1.0 + f["log_var"]) / B
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cat_ent = -np.where(resp > 0.0, resp * np.log(resp), 0.0).sum() / n
-    entropy = float(gauss_ent + cat_ent)
-    return ElboTerms(recon, survival, clustering, prior, entropy)
-
-
-def elbo_value(params, X, t, event, eps, config, resp=None):
-    """Objective value for frozen noise (and optionally frozen
-    responsibilities). This is the path finite differences exercise."""
-    f = _forward_pass(params, X, t, event, eps, config, resp=resp)
-    return _terms_from_forward(f, config)
-
-
-def elbo_terms(params, X, t, event, config, rng):
-    """Monte Carlo ELBO terms for a batch, sampling fresh noise."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ShapeError("empty batch")
-    mu, log_var = encode(params, X)
-    _, eps = reparameterize(mu, log_var, rng, config.mc_samples)
-    terms = elbo_value(params, X, t, event, eps, config)
-    terms.check_finite()
-    return terms
-
-
-def elbo_grads(params, X, t, event, eps, config, resp=None):
-    """ELBO terms plus analytic gradients of the total w.r.t. every
-    trainable parameter. Responsibilities are treated as constants."""
-    f = _forward_pass(params, X, t, event, eps, config, resp=resp)
-    terms = _terms_from_forward(f, config)
-    B, L = f["B"], f["L"]
-    n = L * B
-    resp = f["resp"]
-    Z = f["Z"]
-    j = params.latent_dim
+    recon_ll, recon_grad = _recon_log_lik(dec_out, np.tile(X, (L, 1)), config.recon_loss)
+    terms = ElboTerms(float(recon_ll.sum() / n), 0.0, 0.0, 0.0, 0.0)
     grads = {}
 
     # Decoder, via the reconstruction term.
-    dec_w, dec_b, dZ = net_backward(params.decoder, f["dec_stack"], f["recon_grad"] / n)
+    dec_w, dec_b, dZ = net_backward(params.decoder, dec_stack, recon_grad / n)
     for i in range(len(dec_w)):
         grads[f"dec.W{i}"] = dec_w[i]
         grads[f"dec.b{i}"] = dec_b[i]
 
-    # Survival heads. d log p(t|z,c) / d lambda = (k/lam)((t/lam)^k - delta).
-    k = params.shape
-    ratio_k = np.exp(k * (np.log(f["trep"])[:, None] - np.log(f["lam"])))
-    dlam = (k / f["lam"]) * (ratio_k - f["erep"][:, None])
-    active = (f["lam"] > SCALE_FLOOR).astype(float)
-    dpre = config.survival_weight * resp * dlam * softplus_grad(f["lam_pre"]) * active / n
-    grads["surv.betas"] = np.concatenate(
-        [dpre.sum(axis=0)[:, None], dpre.T @ Z], axis=1
-    )
-    dZ = dZ + dpre @ params.betas[:, 1:]
+    if t is not None:
+        w_surv = config.survival_weight
+        s = _latent_scores(params, Z, np.tile(t, L), np.tile(event, L), w_surv)
+        if resp is None:
+            resp = _normalize_log_posterior(s.log_joint)
+        terms.survival = float(w_surv * (resp * s.log_pt).sum() / n)
+        terms.clustering = float((resp * s.log_pz).sum() / n)
+        terms.prior = float((resp * s.log_pi[None, :]).sum() / n)
+        gauss_ent = 0.5 * np.sum(np.log(2.0 * np.pi) + 1.0 + log_var) / B
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cat_ent = -np.where(resp > 0.0, resp * np.log(resp), 0.0).sum() / n
+        terms.entropy = float(gauss_ent + cat_ent)
 
-    # Mixture parameters, via clustering and prior terms.
-    diff = Z[:, None, :] - params.means[None]  # (n, K, J)
-    w = resp[:, :, None] / f["var_c"][None]
-    if params.gmm_prior:
-        grads["mix.means"] = (w * diff).sum(axis=0) / n
-        grads["mix.log_vars"] = (
-            resp[:, :, None] * (-0.5 + diff**2 / (2.0 * f["var_c"][None]))
-        ).sum(axis=0) / n
-        pi = np.exp(f["log_pi"])
-        grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / n
-    dZ = dZ - (w * diff).sum(axis=1) / n
+        # Survival heads, through the floored softplus scales.
+        active = (s.scale > SCALE_FLOOR).astype(float)
+        dpre = w_surv * resp * s.dscale * softplus_grad(s.scale_pre) * active / n
+        grads["surv.betas"] = np.concatenate(
+            [dpre.sum(axis=0)[:, None], dpre.T @ Z], axis=1
+        )
+        dZ = dZ + dpre @ params.betas[:, 1:]
+
+        # Mixture parameters, via clustering and prior terms.
+        diff = Z[:, None, :] - params.means[None]  # (n, K, J)
+        w = resp[:, :, None] / s.var[None]
+        if params.gmm_prior:
+            grads["mix.means"] = (w * diff).sum(axis=0) / n
+            grads["mix.log_vars"] = (
+                resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
+            ).sum(axis=0) / n
+            pi = np.exp(s.log_pi)
+            grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / n
+        dZ = dZ - (w * diff).sum(axis=1) / n
 
     # Reparameterization: z = mu + sigma * eps.
     dZ = dZ.reshape(L, B, j)
     dmu = dZ.sum(axis=0)
-    dlogvar = (dZ * eps).sum(axis=0) * 0.5 * f["sigma"]
-    # Entropy term contributes 1/(2B) per log-variance coordinate.
-    dlogvar = dlogvar + 0.5 / B
-    clamp_mask = (f["log_var_raw"] > LOGVAR_MIN) & (f["log_var_raw"] < LOGVAR_MAX)
+    dlogvar = (dZ * eps).sum(axis=0) * 0.5 * sigma
+    if t is not None:
+        # Entropy term contributes 1/(2B) per log-variance coordinate.
+        dlogvar = dlogvar + 0.5 / B
+    clamp_mask = (log_var_raw > LOGVAR_MIN) & (log_var_raw < LOGVAR_MAX)
     upstream_enc = np.concatenate([dmu, dlogvar * clamp_mask], axis=1)
-    enc_w, enc_b, _ = net_backward(params.encoder, f["enc_stack"], upstream_enc)
+    enc_w, enc_b, _ = net_backward(params.encoder, enc_stack, upstream_enc)
     for i in range(len(enc_w)):
         grads[f"enc.W{i}"] = enc_w[i]
         grads[f"enc.b{i}"] = enc_b[i]
     return terms, grads
 
 
-def _recon_only_grads(params, X, eps, config):
-    """Autoencoder gradients (reconstruction term only), for pretraining."""
-    f = _forward_pass(
-        params,
-        X,
-        np.ones(X.shape[0]),
-        np.ones(X.shape[0]),
-        eps,
-        config,
-        resp=np.full((eps.shape[0] * X.shape[0], params.num_clusters), np.nan),
-    )
-    B, L = f["B"], f["L"]
-    n = L * B
-    grads = {}
-    dec_w, dec_b, dZ = net_backward(params.decoder, f["dec_stack"], f["recon_grad"] / n)
-    for i in range(len(dec_w)):
-        grads[f"dec.W{i}"] = dec_w[i]
-        grads[f"dec.b{i}"] = dec_b[i]
-    dZ = dZ.reshape(L, B, params.latent_dim)
-    dmu = dZ.sum(axis=0)
-    dlogvar = (dZ * eps).sum(axis=0) * 0.5 * f["sigma"]
-    clamp_mask = (f["log_var_raw"] > LOGVAR_MIN) & (f["log_var_raw"] < LOGVAR_MAX)
-    upstream_enc = np.concatenate([dmu, dlogvar * clamp_mask], axis=1)
-    enc_w, enc_b, _ = net_backward(params.encoder, f["enc_stack"], upstream_enc)
-    for i in range(len(enc_w)):
-        grads[f"enc.W{i}"] = enc_w[i]
-        grads[f"enc.b{i}"] = enc_b[i]
-    recon = float(f["recon_ll"].sum() / n)
-    return recon, grads
+def elbo_value(params, X, t, event, eps, config, resp=None):
+    """Objective value for frozen noise (and optionally frozen
+    responsibilities). This is the path finite differences exercise."""
+    return elbo_grads(params, X, t, event, eps, config, resp=resp)[0]
 
 
 def pretrain_init(params, X, config, rng):
@@ -460,35 +367,15 @@ def pretrain_init(params, X, config, rng):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            Xb = X[idx]
-            mu, log_var = encode(params, Xb)
-            _, eps = reparameterize(mu, log_var, rng, config.mc_samples)
-            _, grads = _recon_only_grads(params, Xb, eps, config)
+            eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
+            _, grads = elbo_grads(params, X[idx], None, None, eps, config)
             neg = {k: -g for k, g in grads.items()}
             adam_step(net_params, neg, state, config.learning_rate)
     mu, _ = encode(params, X)
-    from .baselines import gmm_em_fit, kmeans_assign, kmeans_fit
-
-    try:
-        gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
-        weights, means, variances = gmm.weights, gmm.means, gmm.variances
-    except Exception as exc:  # pragma: no cover - defensive fallback
-        warnings.warn(f"mixture fit failed ({exc}); falling back to k-means statistics")
-        km = kmeans_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
-        labels = kmeans_assign(km, mu)
-        means = km.centers
-        weights = np.bincount(labels, minlength=params.num_clusters) / len(labels)
-        variances = np.stack(
-            [
-                mu[labels == c].var(axis=0) + 1e-6
-                if np.any(labels == c)
-                else np.ones(params.latent_dim)
-                for c in range(params.num_clusters)
-            ]
-        )
-    params.mixture_logits[:] = np.log(np.maximum(weights, 1e-12))
-    params.means[:] = means
-    params.log_vars[:] = np.log(np.maximum(variances, 1e-6))
+    gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
+    params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
+    params.means[:] = gmm.means
+    params.log_vars[:] = np.log(np.maximum(gmm.variances, 1e-6))
     return params
 
 
@@ -504,6 +391,8 @@ def fit(data, config, callback=None):
     t = np.asarray(data.times, dtype=float)
     event = np.asarray(data.events, dtype=float)
     n = X.shape[0]
+    if n == 0:
+        raise ShapeError("no training rows")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
     flat = params.flat()
@@ -514,11 +403,9 @@ def fit(data, config, callback=None):
         epoch_vals = []
         for bstart in range(0, n, config.batch_size):
             idx = order[bstart : bstart + config.batch_size]
-            Xb, tb, eb = X[idx], t[idx], event[idx]
-            mu, log_var = encode(params, Xb)
-            _, eps = reparameterize(mu, log_var, rng, config.mc_samples)
+            eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
             try:
-                terms, grads = elbo_grads(params, Xb, tb, eb, eps, config)
+                terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config)
                 terms.check_finite()
                 neg = {k: -grads[k] for k in flat}
                 adam_step(flat, neg, state, config.learning_rate)
@@ -550,13 +437,10 @@ def predict(params, X, t=None, event=None):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mu, _ = encode(params, X)
-    if t is not None:
-        post = cluster_posterior(params, mu, t, event)
-    else:
-        post = cluster_posterior_prior_only(params, mu)
-    prior_post = post if t is None else cluster_posterior_prior_only(params, mu)
-    lam = weibull_scales(params, mu)
-    medians = weibull_median(lam, params.shape)
+    scores = _latent_scores(params, mu, t, event)
+    post = _normalize_log_posterior(scores.log_joint)
+    prior_post = post if t is None else _normalize_log_posterior(scores.log_prior)
+    medians = weibull_median(scores.scale, params.shape)
     t_hat = (prior_post * medians).sum(axis=1)
     labels = np.argmax(post, axis=1)  # argmax breaks ties toward lower index
     return Prediction(labels, post, mu, t_hat)

@@ -1,8 +1,8 @@
 """Minimal dense-network machinery.
 
-Networks are stacks of fully connected layers with relu / sigmoid /
-identity activations. The forward pass keeps every intermediate
-activation so the analytic backward pass can run without recomputation.
+Networks are stacks of fully connected layers with relu or identity
+activations. The forward pass keeps every intermediate activation so
+the analytic backward pass can run without recomputation.
 A central-difference gradient oracle is provided for testing.
 
 All arrays are float64, batches are stored as rows.
@@ -16,25 +16,21 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 def _apply_activation(kind, a):
     if kind == "relu":
         return np.maximum(a, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(a, -500.0, 500.0)))
     if kind == "identity":
         return a
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(kind, pre, post):
+def _activation_grad(kind, pre):
     # Derivative of the activation evaluated at the pre-activation.
     if kind == "relu":
         return (pre > 0.0).astype(float)
-    if kind == "sigmoid":
-        return post * (1.0 - post)
     if kind == "identity":
         return np.ones_like(pre)
     raise ValueError(f"unknown activation {kind!r}")
@@ -58,13 +54,6 @@ class DenseNet:
     @property
     def output_dim(self):
         return self.weights[-1].shape[1]
-
-    def copy(self):
-        return DenseNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
 
 
 def init_dense_net(layer_sizes, activations, rng):
@@ -124,7 +113,7 @@ def net_backward(net, stack, upstream):
     bias_grads = [None] * len(net.weights)
     delta = upstream
     for i in reversed(range(len(net.weights))):
-        delta = delta * _activation_grad(net.activations[i], pres[i], posts[i + 1])
+        delta = delta * _activation_grad(net.activations[i], pres[i])
         weight_grads[i] = posts[i].T @ delta
         bias_grads[i] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
@@ -138,13 +127,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-
-    def copy(self):
-        return AdamState(
-            {k: a.copy() for k, a in self.m.items()},
-            {k: a.copy() for k, a in self.v.items()},
-            self.step,
-        )
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):

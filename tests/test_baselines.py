@@ -7,7 +7,6 @@ from survmix.baselines import (
     kmeans_assign,
     kmeans_fit,
     weibull_aft_fit,
-    weibull_aft_objective,
     weibull_aft_predict,
 )
 from survmix.errors import ConfigError, ShapeError
@@ -106,11 +105,17 @@ class TestWeibullAft:
     def test_objective_improves_over_init(self):
         rng = np.random.default_rng(6)
         X, t, event, _ = aft_data(rng)
+        from survmix.baselines import _aft_objective_grads
+
+        X1 = np.concatenate([np.ones((len(t), 1)), X], axis=1)
+
+        def objective(m):
+            return _aft_objective_grads(m.coefficients, np.log(m.shape), X1, t,
+                                        event, m.ridge)[0]
+
         model = weibull_aft_fit(X, t, event, seed=0, max_steps=2000)
         init = weibull_aft_fit(X, t, event, seed=0, max_steps=0)
-        assert weibull_aft_objective(model, X, t, event) > weibull_aft_objective(
-            init, X, t, event
-        )
+        assert objective(model) > objective(init)
 
     def test_recovers_generating_shape(self):
         rng = np.random.default_rng(7)

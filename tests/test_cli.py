@@ -127,6 +127,43 @@ class TestCheckpoint:
         Path(path).write_bytes(data[:-20])
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
+        # every prefix of a valid checkpoint is a FormatError, never a
+        # struct.error or KeyError
+        for end in range(len(data)):
+            Path(path).write_bytes(data[:end])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    # Same-length byte edits that keep the container well formed.
+    CORRUPTIONS = {
+        "missing_meta_key": (b"arch.gmm_prior", b"arch.gmm_prioX", "arch.gmm_prior"),
+        "missing_tensor": (b"mix.means", b"mix.meanX", "mix.means"),
+        "unknown_activation": (b"relu,identity", b"relu,identitX", "identitX"),
+        "non_utf8_string": (b"arch.gmm_prior", b"arch.gmm_prio\xff", "UTF-8"),
+        # the last tensor's rank, dim and 8-byte payload become dims
+        # 65536 x 65536 x 1: a 32 GiB tensor that must not be read
+        "absurd_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
+                        b"surv.shape\x03" + struct.pack("<3I", 65536, 65536, 1),
+                        "truncated tensor 'surv.shape'"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupt_entry_is_format_error(self, tmp_path, capsys, kind):
+        self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        old, new, message = self.CORRUPTIONS[kind]
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(str(path))
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(path),
+                     "--data", str(tmp_path / "unused.csv"),
+                     "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

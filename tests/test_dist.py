@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from survmix.dist import (
-    gaussian_entropy_diag,
     log_gaussian_diag,
     log_sum_exp,
     log_weibull_censored,
     softmax,
     softplus,
     softplus_grad,
+    weibull_censored_grads,
     weibull_median,
 )
 from survmix.errors import DomainError
@@ -64,19 +64,6 @@ class TestLogGaussianDiag:
             log_gaussian_diag(np.zeros((1, 2)), np.zeros(2), np.array([1.0, 0.0]))
 
 
-class TestGaussianEntropy:
-    def test_frozen_value(self):
-        # var=(1,2,3): frozen from direct evaluation
-        got = gaussian_entropy_diag(np.array([[1.0, 2.0, 3.0]]))
-        assert got[0] == pytest.approx(5.152695334228046, rel=1e-13)
-
-    def test_matches_scipy(self):
-        var = np.array([0.3, 1.7])
-        got = gaussian_entropy_diag(var[None, :])
-        expected = stats.multivariate_normal(np.zeros(2), np.diag(var)).entropy()
-        assert got[0] == pytest.approx(expected, rel=1e-12)
-
-
 class TestWeibull:
     def test_event_logpdf_frozen(self):
         # scale=2, shape=1, t=1, event: frozen from direct evaluation
@@ -116,6 +103,21 @@ class TestWeibull:
             )
             total, _ = integrate.quad(pdf, 0.0, np.inf)
             assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_grads_match_finite_differences(self):
+        rng = np.random.default_rng(6)
+        t = rng.uniform(0.1, 5.0, 30)
+        event = rng.integers(0, 2, 30).astype(float)
+        lam = rng.uniform(0.5, 3.0, 30)
+        k, h = 1.4, 1e-6
+        ll, d_scale, d_shape = weibull_censored_grads(t, event, lam, k)
+        np.testing.assert_array_equal(ll, log_weibull_censored(t, event, lam, k))
+        fd_scale = (log_weibull_censored(t, event, lam + h, k)
+                    - log_weibull_censored(t, event, lam - h, k)) / (2 * h)
+        fd_shape = (log_weibull_censored(t, event, lam, k + h)
+                    - log_weibull_censored(t, event, lam, k - h)) / (2 * h)
+        np.testing.assert_allclose(d_scale, fd_scale, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(d_shape, fd_shape, rtol=1e-6, atol=1e-8)
 
     def test_median_frozen(self):
         # scale=1, shape=2: frozen from direct evaluation
