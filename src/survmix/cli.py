@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .datagen import (
     save_csv,
     train_test_split,
     _read_exact,
+    _read_table,
+    _write_table,
 )
 from .errors import ConfigError, FormatError, ShapeError, SurvmixError
 from .model import ModelParams, TrainConfig
@@ -92,41 +95,35 @@ def parse_config(path):
     return values
 
 
-def _parse_bool(value, key):
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+def _value(values, key, kind):
+    """One run-config value: kind is bool, tuple (of ints) or a type that
+    parses the text. A bad value is a ConfigError."""
+    text = values[key]
+    try:
+        if kind is bool:
+            flag = text.strip().lower()
+            if flag not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+                raise ValueError(f"{key}: expected a boolean, got {text!r}")
+            return flag in ("true", "1", "yes", "on")
+        if kind is tuple:
+            return tuple(int(v) for v in text.split(",") if v.strip())
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad configuration value: {exc}") from None
 
 
-def _parse_int_tuple(value):
-    return tuple(int(v) for v in value.split(",") if v.strip())
+def _from_config(cls, values, **given):
+    """A validated cls whose fields are the run-config values of the same
+    name, each parsed like the field's default; given values override."""
+    config = cls(**{**{f.name: _value(values, f.name, type(f.default))
+                       for f in fields(cls) if f.name in values}, **given})
+    config.validate()
+    return config
 
 
 def train_config_from(values, seed_override=None):
-    try:
-        config = TrainConfig(
-            latent_dim=int(values["latent_dim"]),
-            num_clusters=int(values["num_clusters"]),
-            weibull_shape=float(values["weibull_shape"]),
-            batch_size=int(values["batch_size"]),
-            learning_rate=float(values["learning_rate"]),
-            epochs=int(values["epochs"]),
-            pretrain_epochs=int(values["pretrain_epochs"]),
-            mc_samples=int(values["mc_samples"]),
-            recon_loss=values["recon_loss"],
-            survival_weight=float(values["survival_weight"]),
-            gmm_prior=_parse_bool(values["gmm_prior"], "gmm_prior"),
-            seed=int(values["seed"]) if seed_override is None else seed_override,
-            enc_hidden=_parse_int_tuple(values["enc_hidden"]),
-            dec_hidden=_parse_int_tuple(values["dec_hidden"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from None
-    config.validate()
-    return config
+    return _from_config(TrainConfig, values,
+                        **({} if seed_override is None else {"seed": seed_override}))
 
 
 # --- checkpoint container ------------------------------------------------
@@ -227,6 +224,7 @@ def load_checkpoint(path):
         return net
 
     try:
+        _check_shapes(path, tensors, meta)
         params = ModelParams(
             encoder=build_net("enc", meta["arch.enc_acts"].split(",")),
             decoder=build_net("dec", meta["arch.dec_acts"].split(",")),
@@ -248,49 +246,56 @@ def load_checkpoint(path):
     return params, stats, meta
 
 
+def _check_shapes(path, tensors, meta):
+    """FormatError unless the tensors fit one model: D features from the
+    encoder's input, K clusters and J latents from mix.means, each hidden
+    width from its layer's bias (a missing axis reads as -1)."""
+
+    def dims(name, rank):
+        return (np.shape(tensors[name]) + (-1,) * rank)[:rank]
+
+    (d,), (k, j) = dims("enc.W0", 1), dims("mix.means", 2)
+    expected = {"mix.means": (k, j), "mix.log_vars": (k, j), "mix.logits": (k,),
+                "surv.betas": (k, j + 1), "stats.feature_mean": (d,), "stats.feature_std": (d,)}
+    for prefix, width, out in (("enc", d, 2 * j), ("dec", j, d)):
+        n = meta[f"arch.{prefix}_acts"].count(",") + 1
+        for i in range(n):
+            width_out = out if i == n - 1 else dims(f"{prefix}.b{i}", 1)[0]
+            expected[f"{prefix}.W{i}"], expected[f"{prefix}.b{i}"] = (width, width_out), (width_out,)
+            width = width_out
+    # the two scalars are stored with rank 0 or 1
+    expected.update({name: np.shape(tensors[name]) if np.size(tensors[name]) == 1 else ()
+                     for name in ("surv.shape", "stats.max_time")})
+    for name, shape in expected.items():
+        if np.shape(tensors[name]) != shape:
+            raise FormatError(f"{path}: tensor {name!r} has shape {np.shape(tensors[name])}, "
+                              f"expected {shape} to fit the other tensors")
+
+
 # --- subcommands ---------------------------------------------------------
 
 
 def cmd_simulate(kind, config_path, out_dir, seed_override=None):
     values = parse_config(config_path)
-    seed = int(values["seed"]) if seed_override is None else seed_override
+    given = {} if seed_override is None else {"seed": seed_override}
     os.makedirs(out_dir, exist_ok=True)
     if kind == "synthetic":
-        gen_config = SyntheticConfig(
-            num_clusters=int(values["num_clusters"]),
-            num_samples=int(values["num_samples"]),
-            latent_dim=int(values["latent_dim"]),
-            num_features=int(values["num_features"]),
-            weibull_shape=float(values["weibull_shape"]),
-            censoring_fraction=float(values["censoring_fraction"]),
-            hidden_units=int(values["hidden_units"]),
-            cov_mode=values["cov_mode"],
-            seed=seed,
-        )
+        gen_config = _from_config(SyntheticConfig, values, **given)
         dataset = gen_synthetic(gen_config)
     elif kind == "survmnist":
-        features, digits = make_surrogate_digit_features(
-            int(values["num_samples"]), seed
-        )
-        gen_config = SurvMnistConfig(
-            num_clusters=int(values["num_clusters"]),
-            censoring_fraction=float(values["censoring_fraction"]),
-            mean_survival=float(values["mean_survival"]),
-            seed=seed,
-        )
+        gen_config = _from_config(SurvMnistConfig, values, **given)
+        features, digits = make_surrogate_digit_features(_value(values, "num_samples", int),
+                                                         gen_config.seed)
         dataset = gen_survmnist(gen_config, features, digits)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    train, test = train_test_split(
-        dataset,
-        float(values["test_fraction"]),
-        seed,
-        stratify_by_time=_parse_bool(values["stratify_by_time"], "stratify_by_time"),
-    )
+    train, test = train_test_split(dataset, _value(values, "test_fraction", float),
+                                   gen_config.seed,
+                                   stratify_by_time=_value(values, "stratify_by_time", bool))
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     with open(os.path.join(out_dir, "manifest"), "w") as f:
-        f.write(f"kind = {kind}\nseed = {seed}\n")
+        f.write(f"kind = {kind}\nseed = {gen_config.seed}\n")
         for key in sorted(values):
             f.write(f"{key} = {values[key]}\n")
 
@@ -305,11 +310,8 @@ def cmd_train(data_path, config_path, out_path, seed_override=None):
     dataset, stats = preprocess(dataset)
     params, trace = model.fit(dataset, config)
     save_checkpoint(params, stats, values, out_path)
-    trace_path = out_path + ".trace.csv"
-    with open(trace_path, "w") as f:
-        f.write("epoch,elbo\n")
-        for epoch, value in enumerate(trace):
-            f.write(f"{epoch},{format(value, '.17g')}\n")
+    _write_table(out_path + ".trace.csv", ["epoch", "elbo"],
+                 [np.arange(len(trace)), np.asarray(trace, dtype=float)])
 
 
 def cmd_predict(checkpoint_path, data_path, out_path):
@@ -322,53 +324,40 @@ def cmd_predict(checkpoint_path, data_path, out_path):
         )
     # Times and events are deliberately not passed: held-out prediction
     # must not peek at the outcome columns.
-    features = dataset.features
-    if stats.feature_kind == "real":
-        features = (features - stats.feature_mean) / stats.feature_std
-    pred = model.predict(params, features)
+    pred = model.predict(params, preprocess(dataset, stats)[0].features)
     t_hat = inverse_time_transform(pred.median_time, stats)
-    k = pred.posterior.shape[1]
-    j = pred.latent.shape[1]
-    with open(out_path, "w") as f:
-        header = (
-            ["row_id", "cluster"]
-            + [f"p_{c}" for c in range(k)]
-            + ["pred_time"]
-            + [f"latent_{d}" for d in range(j)]
+    header = (
+        ["row_id", "cluster"]
+        + [f"p_{c}" for c in range(pred.posterior.shape[1])]
+        + ["pred_time"]
+        + [f"latent_{d}" for d in range(pred.latent.shape[1])]
+    )
+    _write_table(out_path, header,
+                 [np.arange(len(dataset)), pred.labels, pred.posterior, t_hat, pred.latent])
+
+
+def _load_predictions(predictions_path, data_path):
+    """(dataset, predicted clusters, predicted times) for a predict output
+    whose row ids are exactly 0..N-1 of the dataset."""
+
+    def check_header(header):
+        for required in ("row_id", "cluster", "pred_time"):
+            if required not in header:
+                raise FormatError(f"{predictions_path}: missing column {required!r}")
+        return ["row_id", "cluster"]
+
+    header, values, ints = _read_table(predictions_path, check_header)
+    dataset = load_csv(data_path)
+    if not np.array_equal(ints["row_id"], np.arange(len(dataset))):
+        raise FormatError(
+            f"{predictions_path}: row ids do not align with {data_path} "
+            f"({len(values)} predictions vs {len(dataset)} rows)"
         )
-        f.write(",".join(header) + "\n")
-        for i in range(len(dataset)):
-            cells = [str(i), str(int(pred.labels[i]))]
-            cells += [format(v, ".17g") for v in pred.posterior[i]]
-            cells.append(format(t_hat[i], ".17g"))
-            cells += [format(v, ".17g") for v in pred.latent[i]]
-            f.write(",".join(cells) + "\n")
-
-
-def _load_predictions(path):
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    idx = {name: i for i, name in enumerate(header)}
-    for required in ("row_id", "cluster", "pred_time"):
-        if required not in idx:
-            raise FormatError(f"{path}: missing column {required!r}")
-    row_ids = np.array([int(r[idx["row_id"]]) for r in rows])
-    clusters = np.array([int(r[idx["cluster"]]) for r in rows])
-    t_hat = np.array([float(r[idx["pred_time"]]) for r in rows])
-    return row_ids, clusters, t_hat
+    return dataset, ints["cluster"], values[:, header.index("pred_time")]
 
 
 def cmd_evaluate(predictions_path, data_path, out_path):
-    row_ids, clusters, t_hat = _load_predictions(predictions_path)
-    dataset = load_csv(data_path)
-    if len(row_ids) != len(dataset) or not np.array_equal(
-        row_ids, np.arange(len(dataset))
-    ):
-        raise FormatError(
-            f"{predictions_path}: row ids do not align with {data_path} "
-            f"({len(row_ids)} predictions vs {len(dataset)} rows)"
-        )
+    dataset, clusters, t_hat = _load_predictions(predictions_path, data_path)
     report = metrics.evaluate_predictions(
         dataset.times,
         dataset.events,
@@ -382,19 +371,13 @@ def cmd_evaluate(predictions_path, data_path, out_path):
 
 
 def cmd_km_export(predictions_path, data_path, out_path):
-    row_ids, clusters, _ = _load_predictions(predictions_path)
-    dataset = load_csv(data_path)
-    if len(row_ids) != len(dataset) or not np.array_equal(
-        row_ids, np.arange(len(dataset))
-    ):
-        raise FormatError(f"{predictions_path}: row ids do not align with {data_path}")
-    with open(out_path, "w") as f:
-        f.write("cluster,time,survival\n")
-        for c in np.unique(clusters):
-            mask = clusters == c
-            times, surv = metrics.kaplan_meier(dataset.times[mask], dataset.events[mask])
-            for time, s in zip(times, surv):
-                f.write(f"{c},{format(time, '.17g')},{format(s, '.17g')}\n")
+    dataset, clusters, _ = _load_predictions(predictions_path, data_path)
+    curves = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    for c in np.unique(clusters):
+        mask = clusters == c
+        times, surv = metrics.kaplan_meier(dataset.times[mask], dataset.events[mask])
+        curves.append((np.full(len(times), c), times, surv))
+    _write_table(out_path, ["cluster", "time", "survival"], map(np.concatenate, zip(*curves)))
 
 
 def build_parser():

@@ -8,10 +8,10 @@ digit classes (with a surrogate-feature mode that needs no image files).
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -32,18 +32,25 @@ class SurvivalDataset:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
-        self.events = np.asarray(self.events, dtype=int)
+        self.features = np.ascontiguousarray(self.features, dtype=float)
+        self.times = np.ascontiguousarray(self.times, dtype=float)
+        events = np.asarray(self.events)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
         n = self.features.shape[0]
-        if len(self.times) != n or len(self.events) != n:
+        if len(self.times) != n or len(events) != n:
             raise ShapeError("features, times, and events must have equal length")
-        if np.any(self.times <= 0):
-            raise ConfigError("times must be strictly positive")
-        if not np.all(np.isin(self.events, (0, 1))):
-            raise ConfigError("events must be 0 or 1")
+        # Each check names its first offending row, counting from 0.
+        if not (np.isfinite(self.features).all() and np.isfinite(self.times).all()):
+            table = np.column_stack([self.features, self.times])
+            i, j = np.argwhere(~np.isfinite(table))[0]
+            column = "time" if j == self.features.shape[1] else f"feature_{j}"
+            raise ConfigError(f"row {i}: {column} must be finite, got {table[i, j]}")
+        for i in np.flatnonzero(self.times <= 0)[:1]:
+            raise ConfigError(f"row {i}: time must be positive, got {self.times[i]}")
+        for i in np.flatnonzero((events != 0) & (events != 1))[:1]:
+            raise ConfigError(f"row {i}: event must be 0 or 1, got {events[i]}")
+        self.events = events.astype(int)
 
     def __len__(self):
         return self.features.shape[0]
@@ -258,65 +265,89 @@ def load_idx_labels(path):
     return np.frombuffer(payload, dtype=np.uint8).astype(int)
 
 
+# Cells per block of rows read or written: bounds the Python strings held.
+_BLOCK_CELLS = 1 << 16
+
+
+def _write_table(path, header, columns):
+    """Write comma-separated text: the header line, then one line per row.
+
+    columns are (N,) or (N, width) arrays in header order. Integer columns
+    are written as %d, all others as %.17g, which round-trips every
+    float64 exactly. Lines end in LF.
+    """
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                    for c in columns for _ in range(c.shape[1])) + "\n"
+    step = max(1, _BLOCK_CELLS // len(header))
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), step):
+            block = np.hstack([c[start:start + step].astype(object) for c in columns])
+            f.writelines([line % tuple(row) for row in block.tolist()])
+
+
+def _read_table(path, check_header):
+    """Parse a table written by _write_table; CRLF line ends are accepted.
+
+    check_header(header) raises FormatError on a header it cannot use and
+    returns the names of the integer columns. Returns the header, every
+    cell as an (N, width) float array, and {integer name: (N,) ints}.
+    Errors name the first bad data row, counting from 0.
+    """
+    with open(path, errors="replace") as f:  # undecodable bytes then fail as cells
+        header = f.readline().rstrip("\n").split(",")
+        if header == [""]:
+            raise FormatError(f"{path}: empty file, header row required")
+        integers = [header.index(name) for name in check_header(header)]
+        width, step, first = len(header), max(1, _BLOCK_CELLS // len(header)), 0
+        floats, ints = [np.empty((0, width))], [np.empty((0, len(integers)), dtype=int)]
+        while rows := [line.rstrip("\n").split(",") for line in islice(f, step)]:
+            try:
+                floats.append(np.array(rows, dtype=float).reshape(len(rows), width))
+                ints.append(np.array([[row[j] for j in integers] for row in rows], dtype=int))
+            except (ValueError, OverflowError):
+                for i, row in enumerate(rows, first):
+                    if len(row) != width:
+                        raise FormatError(f"{path}: row {i}: expected {width} cells, "
+                                          f"got {len(row)}") from None
+                    try:
+                        np.array(row, dtype=float), np.array([row[j] for j in integers], dtype=int)
+                    except (ValueError, OverflowError) as exc:
+                        raise FormatError(f"{path}: row {i}: non-numeric cell ({exc})") from None
+            first += len(rows)
+    ints = np.concatenate(ints)
+    return header, np.concatenate(floats), {header[j]: ints[:, k] for k, j in enumerate(integers)}
+
+
 def save_csv(dataset, path):
     """Columns feature_0..feature_{D-1}, time, event[, cluster]; values
     rendered with 17 significant digits so the round trip is exact."""
-    d = dataset.features.shape[1]
-    header = [f"feature_{i}" for i in range(d)] + ["time", "event"]
-    if dataset.labels is not None:
-        header.append("cluster")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [format(v, ".17g") for v in dataset.features[i]]
-            row.append(format(dataset.times[i], ".17g"))
-            row.append(str(int(dataset.events[i])))
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+    labels = [] if dataset.labels is None else [dataset.labels]
+    header = [f"feature_{i}" for i in range(dataset.features.shape[1])] + ["time", "event"]
+    _write_table(path, header + ["cluster"] * len(labels),
+                 [dataset.features, dataset.times, dataset.events, *labels])
 
 
 def load_csv(path, feature_kind="real"):
-    """Inverse of save_csv, with row-indexed validation errors."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
-    n_feat = sum(1 for h in header if h.startswith("feature_"))
-    expected = [f"feature_{i}" for i in range(n_feat)] + ["time", "event"]
-    has_labels = header[-1] == "cluster" if header else False
-    if has_labels:
-        expected.append("cluster")
-    if header != expected:
-        missing = [c for c in ("time", "event") if c not in header]
-        if missing:
-            raise FormatError(f"{path}: missing required columns {missing}")
-        raise FormatError(f"{path}: unexpected header layout {header}")
-    features = np.empty((len(rows), n_feat))
-    times = np.empty(len(rows))
-    events = np.empty(len(rows), dtype=int)
-    labels = np.empty(len(rows), dtype=int) if has_labels else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {i}: expected {len(header)} cells, got {len(row)}")
-        try:
-            features[i] = [float(v) for v in row[:n_feat]]
-            times[i] = float(row[n_feat])
-            event = float(row[n_feat + 1])
-            if has_labels:
-                labels[i] = int(row[n_feat + 2])
-        except ValueError as exc:
-            raise FormatError(f"{path}: row {i}: non-numeric cell ({exc})") from None
-        if event not in (0.0, 1.0):
-            raise FormatError(f"{path}: row {i}: event must be 0 or 1, got {event}")
-        events[i] = int(event)
-        if times[i] <= 0:
-            raise FormatError(f"{path}: row {i}: time must be positive, got {times[i]}")
-    return SurvivalDataset(features, times, events, labels, feature_kind)
+    """Inverse of save_csv; errors name the first bad row."""
+
+    def check_header(header):
+        n_feat = sum(1 for h in header if h.startswith("feature_"))
+        expected = [f"feature_{i}" for i in range(n_feat)] + ["time", "event"]
+        if header[-1] == "cluster":
+            expected.append("cluster")
+        if header != expected:
+            raise FormatError(f"{path}: expected columns {expected}, got {header}")
+        return expected[n_feat + 2:]
+
+    header, values, ints = _read_table(path, check_header)
+    d = len(header) - 2 - len(ints)
+    try:
+        return SurvivalDataset(values[:, :d], values[:, d], values[:, d + 1],
+                               ints.get("cluster"), feature_kind)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 @dataclass

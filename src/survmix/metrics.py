@@ -182,27 +182,11 @@ def kaplan_meier(t, event):
     event = np.asarray(event, dtype=int)
     if len(t) == 0:
         raise ShapeError("empty input")
-    order = np.argsort(t, kind="stable")
-    t_sorted = t[order]
-    e_sorted = event[order]
-    times, surv = [], []
-    s = 1.0
-    n_at_risk = len(t)
-    i = 0
-    while i < len(t):
-        current = t_sorted[i]
-        deaths = 0
-        removed = 0
-        while i < len(t) and t_sorted[i] == current:
-            deaths += e_sorted[i]
-            removed += 1
-            i += 1
-        if deaths > 0:
-            s *= 1.0 - deaths / n_at_risk
-            times.append(current)
-            surv.append(s)
-        n_at_risk -= removed
-    return np.asarray(times), np.asarray(surv)
+    times, group, size = np.unique(t, return_inverse=True, return_counts=True)
+    deaths = np.bincount(group, weights=event, minlength=len(times))
+    at_risk = len(t) - np.cumsum(size) + size
+    steps = deaths > 0
+    return times[steps], np.cumprod(1.0 - deaths[steps] / at_risk[steps])
 
 
 def evaluate_predictions(t, event, t_hat=None, risk=None,

@@ -4,6 +4,7 @@ Everything here is written for clarity over speed: explicit loops,
 exhaustive enumeration, no shared code with the package under test.
 """
 
+import csv
 import itertools
 import math
 
@@ -105,3 +106,48 @@ def assignment_brute(cost):
         if total < best_cost:
             best_perm, best_cost = perm, total
     return np.asarray(best_perm), best_cost
+
+
+def km_brute(t, event):
+    """Product-limit estimate walking the sorted times one tie group at a
+    time, multiplying the survival by 1 - deaths / at risk in order."""
+    order = np.argsort(np.asarray(t, dtype=float), kind="stable")
+    t_sorted = np.asarray(t, dtype=float)[order]
+    e_sorted = np.asarray(event, dtype=int)[order]
+    times, surv = [], []
+    s = 1.0
+    n_at_risk = len(t)
+    i = 0
+    while i < len(t):
+        current = t_sorted[i]
+        deaths = 0
+        removed = 0
+        while i < len(t) and t_sorted[i] == current:
+            deaths += e_sorted[i]
+            removed += 1
+            i += 1
+        if deaths > 0:
+            s *= 1.0 - deaths / n_at_risk
+            times.append(current)
+            surv.append(s)
+        n_at_risk -= removed
+    return np.asarray(times), np.asarray(surv)
+
+
+def save_csv_brute(dataset, path):
+    """A dataset CSV as the per-cell csv.writer loop writes it: every cell
+    formatted on its own, CRLF line ends."""
+    d = dataset.features.shape[1]
+    header = [f"feature_{i}" for i in range(d)] + ["time", "event"]
+    if dataset.labels is not None:
+        header.append("cluster")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [format(v, ".17g") for v in dataset.features[i]]
+            row.append(format(dataset.times[i], ".17g"))
+            row.append(str(int(dataset.events[i])))
+            if dataset.labels is not None:
+                row.append(str(int(dataset.labels[i])))
+            writer.writerow(row)

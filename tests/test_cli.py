@@ -146,15 +146,39 @@ class TestCheckpoint:
                         b"surv.shape\x03" + struct.pack("<3I", 65536, 65536, 1),
                         "truncated tensor 'surv.shape'"),
     }
+    # Well-formed containers whose tensors do not fit together (the model
+    # has D=5, J=3, K=2 and one hidden layer of 6 in each net).
+    SHAPE_EDITS = {
+        "short_feature_mean": r"'stats.feature_mean' has shape \(4,\), expected \(5,\)",
+        "narrow_betas": r"'surv.betas' has shape \(2, 3\), expected \(2, 4\)",
+        "short_encoder_W1": r"'enc.W1' has shape \(5, 6\), expected \(6, 6\)",
+        "narrow_decoder_W0": r"'dec.W0' has shape \(3, 5\), expected \(3, 6\)",
+    }
 
-    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @staticmethod
+    def edit_shape(params, stats, kind):
+        if kind == "short_feature_mean":
+            stats.feature_mean = stats.feature_mean[:-1]
+        elif kind == "narrow_betas":
+            params.betas = params.betas[:, :-1]
+        elif kind == "short_encoder_W1":
+            params.encoder.weights[1] = params.encoder.weights[1][:-1]
+        else:
+            params.decoder.weights[0] = params.decoder.weights[0][:, :-1]
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(SHAPE_EDITS))
     def test_corrupt_entry_is_format_error(self, tmp_path, capsys, kind):
-        self.roundtrip(tmp_path)
+        params, stats, _ = self.roundtrip(tmp_path)
         path = tmp_path / "model.ckpt"
-        old, new, message = self.CORRUPTIONS[kind]
-        data = path.read_bytes()
-        assert old in data
-        path.write_bytes(data.replace(old, new, 1))
+        if kind in self.CORRUPTIONS:
+            old, new, message = self.CORRUPTIONS[kind]
+            data = path.read_bytes()
+            assert old in data
+            path.write_bytes(data.replace(old, new, 1))
+        else:
+            self.edit_shape(params, stats, kind)
+            save_checkpoint(params, stats, {"epochs": "3"}, str(path))
+            message = self.SHAPE_EDITS[kind]
         with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
         capsys.readouterr()
@@ -272,6 +296,46 @@ class TestCliErrors:
                      "--out", str(tmp_path / "r.txt")])
         assert code == 1
         assert "align" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, text", [
+        ("synthetic", "num_samples = abc\n"),
+        ("survmnist", "num_samples = 2.5\n"),
+        ("survmnist", "num_samples = 200\ntest_fraction = x\n"),
+        ("survmnist", "num_samples = 200\nstratify_by_time = maybe\n"),
+    ], ids=["synthetic_int", "survmnist_int", "float", "bool"])
+    def test_bad_simulate_value_exits_one(self, tmp_path, capsys, kind, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main(["simulate", "--kind", kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "d")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("notice:")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error: bad configuration value")
+
+    MALFORMED_PREDICTIONS = {
+        "non_integer_cluster": ("row_id,cluster,pred_time\n0,x,1.0\n",
+                                "row 0: non-numeric cell"),
+        "short_row": ("row_id,cluster,pred_time\n0,0,1.0\n1,0\n",
+                      "row 1: expected 3 cells, got 2"),
+        "non_numeric_pred_time": ("row_id,cluster,pred_time\n0,0,1.0\n1,1,soon\n",
+                                  "row 1: non-numeric cell"),
+        "missing_column": ("row_id,pred_time\n0,1.0\n", "missing column 'cluster'"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_PREDICTIONS))
+    @pytest.mark.parametrize("command", ["evaluate", "km-export"])
+    def test_malformed_predictions_exit_one(self, pipeline, tmp_path, capsys, command, kind):
+        text, message = self.MALFORMED_PREDICTIONS[kind]
+        pred = tmp_path / "pred.csv"
+        pred.write_text(text)
+        code = main([command, "--predictions", str(pred),
+                     "--data", os.path.join(pipeline["data"], "test.csv"),
+                     "--out", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
 
 class TestDeterminism:

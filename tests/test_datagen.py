@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import save_csv_brute
+
 from survmix.datagen import (
     PreprocessStats,
     SurvivalDataset,
@@ -44,6 +46,17 @@ class TestDatasetContainer:
     def test_bad_event_flag_rejected(self):
         with pytest.raises(ConfigError):
             SurvivalDataset(np.zeros((2, 2)), np.ones(2), np.array([0, 2]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, column", [(1, "feature_0"), (0, "feature_1"), (2, "time")])
+    def test_non_finite_value_names_row_and_column(self, row, column, value):
+        features, times = np.ones((3, 2)), np.ones(3)
+        if column == "time":
+            times[row] = value
+        else:
+            features[row, int(column[-1])] = value
+        with pytest.raises(ConfigError, match=f"row {row}: {column} must be finite"):
+            SurvivalDataset(features, times, np.ones(3, dtype=int))
 
     def test_subset_slices_matching_diagnostics(self):
         data = small_synth()
@@ -237,6 +250,55 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("feature_0,time,event\nfoo,2.0,1\n")
         with pytest.raises(FormatError, match="row 0"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("1.0,nan,1\n", "row 0: time must be finite, got nan"),
+        ("1.0,2.0,1\nnan,inf,1\n", "row 1: feature_0 must be finite, got nan"),
+        ("1.0,2.0,1\n1.0,-inf,0\n", "row 1: time must be finite, got -inf"),
+    ], ids=["nan_time", "nan_feature_inf_time", "minus_inf_time"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, body, message):
+        p = tmp_path / "bad.csv"
+        p.write_text("feature_0,time,event\n" + body)
+        with pytest.raises(FormatError, match=message):
+            load_csv(p)
+
+    def test_reads_crlf_file_of_per_cell_writer(self, tmp_path):
+        data = small_synth(seed=4, n=50)
+        # values whose 17-digit text is easy to get wrong
+        data.features[0, :6] = [5e-324, -0.0, 1.7976931348623157e308,
+                                2.2250738585072014e-308, 0.1, -1e-310]
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        save_csv_brute(data, old)
+        save_csv(data, new)
+        assert old.read_bytes().count(b"\r\n") == 51
+        assert new.read_bytes() == old.read_bytes().replace(b"\r\n", b"\n")
+        back = load_csv(old)
+        for name in ("features", "times", "events", "labels"):
+            a, b = getattr(back, name), getattr(data, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_row_numbers_continue_across_blocks(self, tmp_path):
+        # 25,000 rows of 4 cells span two blocks of the reader and writer
+        rng = np.random.default_rng(0)
+        n = 25_000
+        data = SurvivalDataset(rng.standard_normal((n, 1)), rng.uniform(0.5, 2.0, n),
+                               rng.integers(0, 2, n), rng.integers(0, 3, n))
+        p = tmp_path / "big.csv"
+        save_csv(data, p)
+        back = load_csv(p)
+        for name in ("features", "times", "events", "labels"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
+        lines = p.read_text().splitlines()
+        lines[1 + 20_000] += ",7"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 20000: expected 4 cells, got 5"):
+            load_csv(p)
+
+    def test_non_utf8_cell_names_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"feature_0,time,event\n1.0,2.0,1\n1.0,2\xff,1\n")
+        with pytest.raises(FormatError, match="row 1: non-numeric cell"):
             load_csv(p)
 
     def test_missing_columns(self, tmp_path):

@@ -8,6 +8,7 @@ from oracles import (
     ari_brute,
     assignment_brute,
     ci_brute,
+    km_brute,
     nmi_brute,
     rae_c_brute,
     rae_nc_brute,
@@ -209,6 +210,20 @@ class TestKaplanMeier:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             kaplan_meier([], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 1)),
+                    min_size=1, max_size=40),
+           st.sampled_from([1.0, 0.1, 1e-300, 3.7e9]))
+    def test_bitwise_equal_to_tie_group_loop(self, rows, unit):
+        # few distinct times, so most inputs carry tied and censored rows
+        t = [r[0] * unit for r in rows]
+        e = [r[1] for r in rows]
+        times, surv = kaplan_meier(t, e)
+        ref_times, ref_surv = km_brute(t, e)
+        assert times.dtype == ref_times.dtype and surv.dtype == ref_surv.dtype
+        assert times.tobytes() == ref_times.tobytes()
+        assert surv.tobytes() == ref_surv.tobytes()
 
 
 class TestReport:
