@@ -277,13 +277,14 @@ def _check_shapes(path, tensors, meta):
 
 def cmd_simulate(kind, config_path, out_dir, seed_override=None):
     values = parse_config(config_path)
-    given = {} if seed_override is None else {"seed": seed_override}
+    if seed_override is not None:
+        values["seed"] = str(seed_override)
     os.makedirs(out_dir, exist_ok=True)
     if kind == "synthetic":
-        gen_config = _from_config(SyntheticConfig, values, **given)
+        gen_config = _from_config(SyntheticConfig, values)
         dataset = gen_synthetic(gen_config)
     elif kind == "survmnist":
-        gen_config = _from_config(SurvMnistConfig, values, **given)
+        gen_config = _from_config(SurvMnistConfig, values)
         features, digits = make_surrogate_digit_features(_value(values, "num_samples", int),
                                                          gen_config.seed)
         dataset = gen_survmnist(gen_config, features, digits)
@@ -353,7 +354,12 @@ def _load_predictions(predictions_path, data_path):
             f"{predictions_path}: row ids do not align with {data_path} "
             f"({len(values)} predictions vs {len(dataset)} rows)"
         )
-    return dataset, ints["cluster"], values[:, header.index("pred_time")]
+    pred_time = values[:, header.index("pred_time")]
+    bad = np.flatnonzero(~(np.isfinite(pred_time) & (pred_time > 0)))
+    if len(bad):
+        raise FormatError(f"{predictions_path}: row {bad[0]}: pred_time must be finite "
+                          f"and positive, got {pred_time[bad[0]]}")
+    return dataset, ints["cluster"], pred_time
 
 
 def cmd_evaluate(predictions_path, data_path, out_path):

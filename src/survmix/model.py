@@ -16,11 +16,20 @@ terms for frozen noise and responsibilities (the finite-difference oracle
 path). ``_latent_scores`` computes log p(z|c) + log pi, the Weibull scales
 and, given t, log p(t|z,c); the training pass, ``cluster_posterior*`` and
 ``predict`` all use it.
+
+Every parameter array lives in one contiguous float64 vector,
+``ModelParams.vector``, in ``ModelParams.flat()`` order: encoder, decoder,
+survival heads, then mixture. The arrays held by the networks and by
+``ModelParams`` are reshaped views of it, so the trainable parameters are
+one prefix of the vector (the encoder and decoder a shorter one, which
+pretraining updates). Each step gathers the negated gradients into one
+buffer laid out the same way, and ``adam_step`` updates the whole prefix
+in cache-sized blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +44,16 @@ from .dist import (
     weibull_median,
 )
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
-from .nnet import AdamState, DenseNet, adam_step, init_dense_net, net_backward, net_forward
+from .nnet import (
+    AdamState,
+    DenseNet,
+    adam_step,
+    init_dense_net,
+    net_backward,
+    net_forward,
+    pack,
+    views,
+)
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 SCALE_FLOOR = 1e-8
@@ -77,7 +95,9 @@ class ModelParams:
 
     The encoder maps D features to 2J outputs (latent mean, latent
     log-variance); the decoder maps J latents back to D outputs. Mixture
-    components and survival heads are indexed consistently.
+    components and survival heads are indexed consistently. On
+    construction every array is copied into ``vector`` and replaced by a
+    view of it.
     """
 
     encoder: DenseNet
@@ -88,6 +108,17 @@ class ModelParams:
     betas: np.ndarray  # (K, J+1); column 0 is the bias
     shape: float
     gmm_prior: bool = True
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.vector, arrays = pack(self.flat(trainable_only=False))
+        for net, prefix in ((self.encoder, "enc"), (self.decoder, "dec")):
+            net.weights = [arrays[f"{prefix}.W{i}"] for i in range(len(net.weights))]
+            net.biases = [arrays[f"{prefix}.b{i}"] for i in range(len(net.biases))]
+        self.betas = arrays["surv.betas"]
+        self.mixture_logits = arrays["mix.logits"]
+        self.means = arrays["mix.means"]
+        self.log_vars = arrays["mix.log_vars"]
 
     @property
     def latent_dim(self):
@@ -334,7 +365,7 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
         dlogvar = dlogvar + 0.5 / B
     clamp_mask = (log_var_raw > LOGVAR_MIN) & (log_var_raw < LOGVAR_MAX)
     upstream_enc = np.concatenate([dmu, dlogvar * clamp_mask], axis=1)
-    enc_w, enc_b, _ = net_backward(params.encoder, enc_stack, upstream_enc)
+    enc_w, enc_b, _ = net_backward(params.encoder, enc_stack, upstream_enc, input_grad=False)
     for i in range(len(enc_w)):
         grads[f"enc.W{i}"] = enc_w[i]
         grads[f"enc.b{i}"] = enc_b[i]
@@ -345,6 +376,32 @@ def elbo_value(params, X, t, event, eps, config, resp=None):
     """Objective value for frozen noise (and optionally frozen
     responsibilities). This is the path finite differences exercise."""
     return elbo_grads(params, X, t, event, eps, config, resp=resp)[0]
+
+
+def _ascent(params, names, lr):
+    """A step function that takes one Adam step up the objective, given
+    its gradients (a name -> array dict), on the parameters names: the
+    leading entries of params.flat(), so one prefix of params.vector.
+
+    The negated gradients are gathered into one buffer laid out like that
+    prefix, and adam_step sees the prefix and the buffer as one entry
+    each. A non-finite gradient raises TrainingError naming its parameter.
+    """
+    vector = params.vector[: sum(np.size(a) for a in names.values())]
+    grad = np.empty_like(vector)
+    grad_views = views(grad, names)
+    state = AdamState()
+
+    def step(grads):
+        for name, g in grad_views.items():
+            np.negative(grads[name], out=g)
+        try:
+            adam_step({"vector": vector}, {"vector": grad}, state, lr)
+        except TrainingError:
+            bad = next(k for k, g in grad_views.items() if not np.isfinite(g).all())
+            raise TrainingError(f"non-finite gradient for parameter {bad!r}") from None
+
+    return step
 
 
 def pretrain_init(params, X, config, rng):
@@ -359,18 +416,14 @@ def pretrain_init(params, X, config, rng):
         return params
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    net_params = {
-        k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))
-    }
-    state = AdamState()
+    nets = {k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))}
+    step = _ascent(params, nets, config.learning_rate)
     for _ in range(config.pretrain_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
-            _, grads = elbo_grads(params, X[idx], None, None, eps, config)
-            neg = {k: -g for k, g in grads.items()}
-            adam_step(net_params, neg, state, config.learning_rate)
+            step(elbo_grads(params, X[idx], None, None, eps, config)[1])
     mu, _ = encode(params, X)
     gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
     params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
@@ -395,8 +448,7 @@ def fit(data, config, callback=None):
         raise ShapeError("no training rows")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
-    flat = params.flat()
-    state = AdamState()
+    step = _ascent(params, params.flat(), config.learning_rate)
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -407,8 +459,7 @@ def fit(data, config, callback=None):
             try:
                 terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config)
                 terms.check_finite()
-                neg = {k: -grads[k] for k in flat}
-                adam_step(flat, neg, state, config.learning_rate)
+                step(grads)
             except (TrainingError, DomainError) as exc:
                 raise TrainingError(
                     f"epoch {epoch}, batch {bstart // config.batch_size}: {exc}"

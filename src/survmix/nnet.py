@@ -2,8 +2,18 @@
 
 Networks are stacks of fully connected layers with relu or identity
 activations. The forward pass keeps every intermediate activation so
-the analytic backward pass can run without recomputation.
+the analytic backward pass can run without recomputation; it can skip
+the gradient with respect to the input when the caller discards it.
 A central-difference gradient oracle is provided for testing.
+
+Parameters may live in one contiguous float64 vector: ``pack`` copies a
+name->array dict into one and ``views`` lays such a dict out over any
+vector of the same length (a gradient buffer, say), as reshaped views.
+``adam_step`` updates each entry in blocks of ``ADAM_BLOCK`` elements
+through two scratch buffers kept in ``AdamState``, so a whole parameter
+vector is updated in cache-sized pieces without temporaries, with the
+same floating-point operations in the same order as the textbook
+per-array update.
 
 All arrays are float64, batches are stored as rows.
 """
@@ -17,6 +27,7 @@ import numpy as np
 from .errors import ShapeError, TrainingError
 
 ACTIVATIONS = ("relu", "identity")
+ADAM_BLOCK = 32768  # elements per Adam block, so its six 256 KiB slices are reused from cache
 
 
 def _apply_activation(kind, a):
@@ -27,12 +38,12 @@ def _apply_activation(kind, a):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(kind, pre):
-    # Derivative of the activation evaluated at the pre-activation.
+def _activation_backward(kind, delta, pre):
+    # delta times the activation's derivative at the pre-activation.
     if kind == "relu":
-        return (pre > 0.0).astype(float)
+        return delta * (pre > 0.0)
     if kind == "identity":
-        return np.ones_like(pre)
+        return delta
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -88,18 +99,21 @@ def net_forward(net, X):
     post = X
     pres, posts = [], [X]
     for W, b, act in zip(net.weights, net.biases, net.activations):
-        pre = post @ W + b
+        pre = post @ W
+        pre += b
         post = _apply_activation(act, pre)
         pres.append(pre)
         posts.append(post)
     return post, (pres, posts)
 
 
-def net_backward(net, stack, upstream):
+def net_backward(net, stack, upstream, input_grad=True):
     """Backward pass through a stored forward stack.
 
     Returns (weight_grads, bias_grads, input_grad) with shapes mirroring
-    the parameters. upstream is dLoss/dOutput for the batch.
+    the parameters. upstream is dLoss/dOutput for the batch. With
+    input_grad=False the first layer's delta @ W.T is skipped and None is
+    returned in its place.
     """
     pres, posts = stack
     upstream = np.asarray(upstream, dtype=float)
@@ -113,42 +127,93 @@ def net_backward(net, stack, upstream):
     bias_grads = [None] * len(net.weights)
     delta = upstream
     for i in reversed(range(len(net.weights))):
-        delta = delta * _activation_grad(net.activations[i], pres[i])
+        delta = _activation_backward(net.activations[i], delta, pres[i])
         weight_grads[i] = posts[i].T @ delta
         bias_grads[i] = delta.sum(axis=0)
-        delta = delta @ net.weights[i].T
-    return weight_grads, bias_grads, delta
+        if i > 0 or input_grad:
+            delta = delta @ net.weights[i].T
+    return weight_grads, bias_grads, delta if input_grad else None
+
+
+def views(vector, like):
+    """name -> view of the 1-d vector, laid out like the arrays of like:
+    consecutive slices in dict order, each reshaped to its array's shape."""
+    out, start = {}, 0
+    for name, a in like.items():
+        size = np.size(a)
+        out[name] = vector[start : start + size].reshape(np.shape(a))
+        start += size
+    return out
+
+
+def pack(arrays):
+    """Copy a name -> array dict into one new contiguous float64 vector.
+
+    Returns (vector, views of it laid out like arrays)."""
+    vector = np.empty(sum(np.size(a) for a in arrays.values()))
+    out = views(vector, arrays)
+    for name, a in arrays.items():
+        out[name][...] = a
+    return vector, out
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """First/second moment accumulators keyed like the parameter dict, and
+    the two scratch buffers of the blocked update."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
+    scratch: np.ndarray | None = None  # (2, block) work space
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update (minimization), in place on the parameter dict."""
+    """One Adam update (minimization), in place on the parameter dict.
+
+    Per element this is m = beta1*m + (1-beta1)*g, v = beta2*v +
+    (1-beta2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps), evaluated in that
+    order over blocks of at most ADAM_BLOCK elements. A non-finite
+    gradient raises TrainingError naming its entry, before that entry is
+    changed.
+    """
     state.step += 1
     t = state.step
+    c1, c2 = 1.0 - beta1, 1.0 - beta2
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    block = min(ADAM_BLOCK, max([1, *(np.size(p) for p in params.values())]))
+    if state.scratch is None or state.scratch.shape[1] < block:
+        state.scratch = np.empty((2, block))
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        g = np.ravel(grads[name])
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            state.m[name] = np.zeros(np.shape(p))
+            state.v[name] = np.zeros(np.shape(p))
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        # a non-contiguous parameter is updated through a contiguous copy
+        flat_p = p.reshape(-1) if p.flags.c_contiguous else p.flatten()
+        for start in range(0, flat_p.size, block):
+            ps, gs, ms, vs = (x[start : start + block] for x in (flat_p, g, m, v))
+            a, b = state.scratch[:, : ps.size]
+            ms *= beta1
+            np.multiply(gs, c1, out=a)
+            ms += a
+            vs *= beta2
+            np.multiply(gs, c2, out=a)
+            a *= gs
+            vs += a
+            np.divide(vs, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(ms, bc1, out=b)
+            b *= lr
+            b /= a
+            ps -= b
+        if not p.flags.c_contiguous:
+            p[...] = flat_p.reshape(p.shape)
     return params, state
 
 

@@ -151,3 +151,71 @@ def save_csv_brute(dataset, path):
             if dataset.labels is not None:
                 row.append(str(int(dataset.labels[i])))
             writer.writerow(row)
+
+
+def adam_brute(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update (minimization) per dict entry, each on the whole
+    array with fresh temporaries. state is {"m": {}, "v": {}, "step": 0}."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(p)
+            state["v"][name] = np.zeros_like(p)
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def fit_brute(data, config):
+    """The training loop written out over the parameter dict: pretraining
+    of encoder and decoder, mixture set from a GMM on the encoded means,
+    then ELBO ascent, each step an adam_brute update of every entry.
+    Returns (params, per-epoch mean objective) like model.fit."""
+    from survmix.baselines import gmm_em_fit
+    from survmix.model import elbo_grads, encode, init_params
+
+    rng = np.random.default_rng(config.seed)
+    X = np.asarray(data.features, dtype=float)
+    t = np.asarray(data.times, dtype=float)
+    event = np.asarray(data.events, dtype=float)
+    n, bs, lr = X.shape[0], config.batch_size, config.learning_rate
+    params = init_params(X.shape[1], config, rng)
+
+    def batches():
+        order = rng.permutation(n)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            yield idx, rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
+
+    if config.pretrain_epochs > 0 and params.gmm_prior:
+        net = {k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))}
+        state = {"m": {}, "v": {}, "step": 0}
+        for _ in range(config.pretrain_epochs):
+            for idx, eps in batches():
+                _, grads = elbo_grads(params, X[idx], None, None, eps, config)
+                adam_brute(net, {k: -g for k, g in grads.items()}, state, lr)
+        mu, _ = encode(params, X)
+        gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
+        params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
+        params.means[:] = gmm.means
+        params.log_vars[:] = np.log(np.maximum(gmm.variances, 1e-6))
+
+    flat = params.flat()
+    state = {"m": {}, "v": {}, "step": 0}
+    trace = []
+    for _ in range(config.epochs):
+        values = []
+        for idx, eps in batches():
+            terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config)
+            adam_brute(flat, {k: -grads[k] for k in flat}, state, lr)
+            values.append(terms.total)
+        trace.append(float(np.mean(values)))
+    return params, trace

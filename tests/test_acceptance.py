@@ -143,6 +143,7 @@ def per_seed(values):
     return "/".join(f"{v:.3f}" for v in values)
 
 
+@pytest.mark.slow
 def test_criterion_01_desk_scale_accuracy(desk_results):
     acc = median(desk_results["acc"])
     km = median(desk_results["acc_kmeans"])
@@ -156,6 +157,7 @@ def test_criterion_01_desk_scale_accuracy(desk_results):
     assert verdict(1, ok, detail), detail
 
 
+@pytest.mark.slow
 def test_criterion_02_ablation_ordering(desk_results):
     full = median(desk_results["acc"])
     ablated = median(desk_results["acc_ablated"])
@@ -166,6 +168,7 @@ def test_criterion_02_ablation_ordering(desk_results):
     assert verdict(2, ok, detail), detail
 
 
+@pytest.mark.slow
 def test_criterion_03_concordance_floor(desk_results):
     # "Competitive at predicting survival times": the held-out survival
     # ranking may trail the ridge Weibull AFT fitted on the same split by
@@ -180,6 +183,7 @@ def test_criterion_03_concordance_floor(desk_results):
     assert verdict(3, ok, detail), detail
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("RUN_FULL_SCALE") != "1",
                     reason="hours of single-threaded compute; set RUN_FULL_SCALE=1")
 def test_criterion_04_full_scale_accuracy():

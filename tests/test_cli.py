@@ -338,6 +338,25 @@ class TestCliErrors:
         assert message in err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+    @pytest.mark.parametrize("command", ["evaluate", "km-export"])
+    def test_bad_pred_time_exits_one(self, pipeline, tmp_path, capsys, command, value):
+        lines = Path(pipeline["pred"]).read_text().splitlines()
+        column = lines[0].split(",").index("pred_time")
+        cells = lines[4].split(",")
+        cells[column] = value
+        lines[4] = ",".join(cells)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n")
+        code = main([command, "--predictions", str(pred),
+                     "--data", os.path.join(pipeline["data"], "test.csv"),
+                     "--out", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "row 3: pred_time must be finite and positive" in err
+
+
 class TestDeterminism:
     def test_pipeline_byte_identical_across_runs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -382,6 +401,15 @@ class TestDeterminism:
         a = Path(tmp_path / "s1" / "d" / "train.csv").read_text()
         b = Path(tmp_path / "s2" / "d" / "train.csv").read_text()
         assert a != b
+
+    def test_seed_override_is_the_manifest_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_TRAIN)  # seed = 5
+        assert main(["simulate", "--kind", "synthetic", "--config", str(cfg),
+                     "--out", str(tmp_path / "d"), "--seed", "9"]) == 0
+        manifest = Path(tmp_path / "d" / "manifest").read_text().splitlines()
+        seeds = [line for line in manifest if line.startswith("seed =")]
+        assert seeds and all(line == "seed = 9" for line in seeds), seeds
 
 
 class TestSurvMnistSimulate:

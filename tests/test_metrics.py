@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from oracles import (
     rae_c_brute,
     rae_nc_brute,
 )
-from survmix.errors import ShapeError
+from survmix.errors import DomainError, ShapeError
 from survmix.metrics import (
     MetricsReport,
     ari,
@@ -55,6 +57,42 @@ class TestConcordance:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             concordance_index([1, 2], [1], [1, 2])
+
+    @pytest.mark.parametrize("t, risk", [
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+        ([1.0, 2.0, 3.0], [-np.inf, 2.0, 3.0]),
+    ], ids=["nan_time", "inf_time", "nan_risk", "minus_inf_risk"])
+    def test_non_finite_input_rejected(self, t, risk):
+        with pytest.raises(DomainError):
+            concordance_index(t, [1, 1, 1], risk)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.integers(-2, 2)),
+                    max_size=40))
+    def test_equals_brute_force_on_heavy_ties(self, rows):
+        t = [float(r[0]) for r in rows]
+        event = [int(r[1]) for r in rows]
+        risk = [float(r[2]) for r in rows]
+        assert concordance_index(t, event, risk) == ci_brute(t, event, risk)
+
+    def test_evaluate_large_test_set_memory(self):
+        rng = np.random.default_rng(8)
+        n = 18000
+        t = rng.uniform(0.5, 10.0, n).round(2)
+        event = rng.integers(0, 2, n)
+        t_hat = rng.uniform(0.5, 10.0, n).round(2)
+        labels = rng.integers(0, 3, n)
+        tracemalloc.start()
+        try:
+            report = evaluate_predictions(t, event, t_hat=t_hat, risk=-t_hat,
+                                          true_labels=labels, pred_labels=labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ci is not None and report.acc == 1.0
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRae:

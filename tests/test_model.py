@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import fit_brute
+from survmix import model
 from survmix.datagen import SurvivalDataset, SyntheticConfig, gen_synthetic, preprocess
 from survmix.errors import ConfigError, ShapeError, TrainingError
 from survmix.model import (
@@ -341,6 +343,46 @@ class TestFitPredict:
                              learning_rate=np.inf)
         with pytest.raises(TrainingError, match="epoch 0"):
             fit(data, config)
+
+    @pytest.mark.parametrize("gmm_prior", [True, False])
+    def test_bitwise_equal_to_reference_loop(self, gmm_prior):
+        data = self.small_data()
+        config = tiny_config(latent_dim=4, epochs=3, batch_size=64,
+                             pretrain_epochs=1, gmm_prior=gmm_prior)
+        params, trace = fit(data, config)
+        ref_params, ref_trace = fit_brute(data, config)
+        assert trace == ref_trace
+        ref = ref_params.flat(trainable_only=False)
+        for name, a in params.flat(trainable_only=False).items():
+            assert a.tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("name, pretrain_epochs", [
+        ("mix.means", 0), ("enc.W0", 0), ("surv.betas", 0), ("dec.b1", 1),
+    ])
+    def test_nan_gradient_names_parameter(self, monkeypatch, name, pretrain_epochs):
+        def poisoned(*args, **kwargs):
+            terms, grads = elbo_grads(*args, **kwargs)
+            if name in grads:
+                grads[name].flat[-1] = np.nan
+            return terms, grads
+
+        monkeypatch.setattr(model, "elbo_grads", poisoned)
+        config = tiny_config(latent_dim=4, epochs=1, batch_size=64,
+                             pretrain_epochs=pretrain_epochs)
+        message = f"non-finite gradient for parameter '{name}'"
+        if not pretrain_epochs:
+            message = "epoch 0, batch 0: " + message
+        with pytest.raises(TrainingError, match=message):
+            fit(self.small_data(), config)
+
+    def test_parameters_are_views_of_one_vector(self):
+        params = init_params(5, tiny_config(), np.random.default_rng(0))
+        arrays = params.flat(trainable_only=False)
+        assert sum(a.size for a in arrays.values()) == params.vector.size
+        offset = 0
+        for name, a in arrays.items():
+            assert np.shares_memory(a, params.vector[offset : offset + a.size]), name
+            offset += a.size
 
     def test_weibull_scales_floor(self):
         rng = np.random.default_rng(11)

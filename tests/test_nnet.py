@@ -3,8 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import adam_brute
 from survmix.errors import ShapeError, TrainingError
 from survmix.nnet import (
+    ADAM_BLOCK,
     AdamState,
     DenseNet,
     adam_step,
@@ -82,6 +84,17 @@ class TestBackward:
         _, stack = net_forward(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
             net_backward(net, stack, np.ones((3, 2)))
+
+    def test_without_input_grad_same_parameter_grads(self):
+        rng = np.random.default_rng(4)
+        net = init_dense_net([5, 4, 3], ["relu", "identity"], rng)
+        _, stack = net_forward(net, rng.standard_normal((6, 5)))
+        upstream = rng.standard_normal((6, 3))
+        wg, bg, dx = net_backward(net, stack, upstream)
+        wg2, bg2, dx2 = net_backward(net, stack, upstream, input_grad=False)
+        assert dx.shape == (6, 5) and dx2 is None
+        for a, b in zip(wg + bg, wg2 + bg2):
+            assert a.tobytes() == b.tobytes()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -169,6 +182,39 @@ class TestAdam:
                 AdamState(),
                 lr=0.1,
             )
+
+
+    @pytest.mark.parametrize("shapes", [
+        {"W": (7, 5), "b": (5,)},
+        {"W": (ADAM_BLOCK // 8, 8), "b": (ADAM_BLOCK,), "s": (3,)},
+        {"big": (2 * ADAM_BLOCK + 17,), "W": (300, 2), "b": (1,)},
+        {"vector": (3 * ADAM_BLOCK - 5,)},
+    ], ids=["below_block", "one_block", "above_block", "single_flat_entry"])
+    def test_bitwise_equal_to_per_array_loop(self, shapes):
+        rng = np.random.default_rng(11)
+        start = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        fast = {k: p.copy() for k, p in start.items()}
+        slow = {k: p.copy() for k, p in start.items()}
+        state, slow_state = AdamState(), {"m": {}, "v": {}, "step": 0}
+        for step in range(4):
+            # gradients spanning many orders of magnitude, with exact zeros
+            grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+                     * (rng.random(shape) > 0.1) for k, shape in shapes.items()}
+            adam_step(fast, grads, state, lr=0.01 * (step + 1))
+            adam_brute(slow, grads, slow_state, lr=0.01 * (step + 1))
+        for k in shapes:
+            assert fast[k].tobytes() == slow[k].tobytes(), k
+            assert state.m[k].tobytes() == slow_state["m"][k].tobytes(), k
+            assert state.v[k].tobytes() == slow_state["v"][k].tobytes(), k
+
+    def test_non_contiguous_parameter_updated(self):
+        rng = np.random.default_rng(12)
+        base = rng.standard_normal((6, 4))
+        g = rng.standard_normal((4, 6))
+        expected = {"p": base.T.copy()}
+        adam_step({"p": base.T}, {"p": g}, AdamState(), lr=0.1)
+        adam_brute(expected, {"p": g}, {"m": {}, "v": {}, "step": 0}, lr=0.1)
+        assert base.T.tobytes() == expected["p"].tobytes()
 
 
 class TestFiniteDiff:
