@@ -2,9 +2,9 @@
 
 Digit classes are grouped into survival clusters; each cluster draws an
 exponential event time from its own rate, and a single global censoring
-time truncates the upper tail. The surrogate feature mode replaces digit
-images with noisy one-hot label encodings so the demo needs no image
-files; real IDX image files can be plugged in via `load_idx`.
+time truncates the upper tail. Surrogate features replace the digit
+images with noisy one-hot label encodings, so the demo needs no image
+files.
 
 The model trains with a Bernoulli (binary cross-entropy) decoder, the
 natural choice for near-binary features.

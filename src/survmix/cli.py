@@ -30,7 +30,6 @@ from .datagen import (
     preprocess,
     save_csv,
     train_test_split,
-    _read_exact,
     _read_table,
     _write_table,
 )
@@ -76,18 +75,22 @@ def parse_config(path):
     rejected with their line number, missing keys fall back to defaults."""
     values = dict(CONFIG_DEFAULTS)
     seen = set()
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = value
-            seen.add(key)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        values[key] = value
+        seen.add(key)
     for key in CONFIG_DEFAULTS:
         if key not in seen:
             print(f"notice: {key} not set, using default {CONFIG_DEFAULTS[key]}",
@@ -129,6 +132,17 @@ def train_config_from(values, seed_override=None):
 # --- checkpoint container ------------------------------------------------
 
 
+def _read_exact(f, n, path, what):
+    # n may come from a corrupt header: never ask for more than the file holds
+    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
+    if len(data) != n:
+        raise FormatError(
+            f"{path}: truncated {what} at byte {f.tell() - len(data)}: "
+            f"expected {n} bytes, got {len(data)}"
+        )
+    return data
+
+
 def _write_str(f, s):
     data = s.encode("utf-8")
     f.write(struct.pack("<H", len(data)))
@@ -159,12 +173,6 @@ def save_checkpoint(params, stats, config_values, path):
     meta = dict(config_values)
     meta["arch.enc_acts"] = ",".join(params.encoder.activations)
     meta["arch.dec_acts"] = ",".join(params.decoder.activations)
-    meta["arch.enc_sizes"] = ",".join(
-        str(w.shape[0]) for w in params.encoder.weights
-    ) + f",{params.encoder.output_dim}"
-    meta["arch.dec_sizes"] = ",".join(
-        str(w.shape[0]) for w in params.decoder.weights
-    ) + f",{params.decoder.output_dim}"
     meta["arch.gmm_prior"] = "true" if params.gmm_prior else "false"
     meta["stats.feature_kind"] = stats.feature_kind
 

@@ -3,13 +3,11 @@
 Two generators are provided: a tabular benchmark whose latents follow a
 Gaussian mixture with cluster-specific linear Weibull survival heads,
 and a digits benchmark that attaches exponential survival times to MNIST
-digit classes (with a surrogate-feature mode that needs no image files).
+digit classes, with surrogate features standing in for the images.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -88,6 +86,8 @@ class SyntheticConfig:
             raise ConfigError("censoring_fraction must be in [0, 1)")
         if self.cov_mode not in ("full", "diag"):
             raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
+        if not 0.0 < self.weibull_shape < np.inf:  # nan fails it too
+            raise ConfigError(f"weibull_shape must be positive and finite, got {self.weibull_shape}")
 
 
 @dataclass
@@ -102,6 +102,8 @@ class SurvMnistConfig:
             raise ConfigError("num_clusters must be between 1 and 10 (ten digits)")
         if not 0.0 <= self.censoring_fraction < 1.0:
             raise ConfigError("censoring_fraction must be in [0, 1)")
+        if not 0.0 < self.mean_survival < np.inf:
+            raise ConfigError(f"mean_survival must be positive and finite, got {self.mean_survival}")
 
 
 def gen_spd(d, seed):
@@ -113,20 +115,17 @@ def gen_spd(d, seed):
     return A.T @ A / d + 0.1 * np.eye(d)
 
 
-def gen_low_rank(m, n, seed, mode="tail"):
+def gen_low_rank(m, n, seed):
     """m x n matrix of effective rank ceil(min(m, n) / 5).
 
-    mode="tail", the only mode: random orthogonal factors with a
-    bell-shaped singular-value profile plus a slowly decaying tail, so the
-    matrix has low *effective* rank but keeps a full-rank spectrum and
-    loses no information.
+    Random orthogonal factors with a bell-shaped singular-value profile
+    plus a slowly decaying tail, so the matrix has low *effective* rank but
+    keeps a full-rank spectrum and loses no information.
     """
     if m < 1 or n < 1:
         raise ConfigError("dimensions must be >= 1")
     r = int(np.ceil(min(m, n) / 5))
     rng = np.random.default_rng(seed)
-    if mode != "tail":
-        raise ConfigError(f"unknown low-rank mode {mode!r}")
     p = min(m, n)
     U, _ = np.linalg.qr(rng.standard_normal((m, p)))
     V, _ = np.linalg.qr(rng.standard_normal((n, p)))
@@ -192,6 +191,8 @@ def gen_synthetic(config):
 
 def make_surrogate_digit_features(n, seed, noise_std=0.1):
     """Stand-in for MNIST images: one-hot digit labels plus Gaussian noise."""
+    if n < 1:
+        raise ConfigError(f"num_samples must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 10, size=n)
     features = np.eye(10)[digits] + noise_std * rng.standard_normal((n, 10))
@@ -229,40 +230,6 @@ def gen_survmnist(config, features, digit_labels):
         diagnostics={"event_times": u, "risk_scores": risk, "rates": rate,
                      "digit_assignment": assignment, "censor_time": t_cens},
     )
-
-
-def _read_exact(f, n, path, what):
-    # n may come from a corrupt header: never ask for more than the file holds
-    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
-    if len(data) != n:
-        raise FormatError(
-            f"{path}: truncated {what} at byte {f.tell() - len(data)}: "
-            f"expected {n} bytes, got {len(data)}"
-        )
-    return data
-
-
-def load_idx_images(path):
-    """Big-endian IDX image file -> (N, rows*cols) floats in [0, 1]."""
-    with open(path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, path, "magic"))[0]
-        if magic != 0x00000803:
-            raise FormatError(f"{path}: bad image magic 0x{magic:08x} at byte 0")
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, path, "header"))
-        payload = _read_exact(f, n * rows * cols, path, "pixel payload")
-    data = np.frombuffer(payload, dtype=np.uint8).astype(float) / 255.0
-    return data.reshape(n, rows * cols)
-
-
-def load_idx_labels(path):
-    """Big-endian IDX label file -> (N,) integer labels."""
-    with open(path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, path, "magic"))[0]
-        if magic != 0x00000801:
-            raise FormatError(f"{path}: bad label magic 0x{magic:08x} at byte 0")
-        n = struct.unpack(">I", _read_exact(f, 4, path, "header"))[0]
-        payload = _read_exact(f, n, path, "label payload")
-    return np.frombuffer(payload, dtype=np.uint8).astype(int)
 
 
 # Cells per block of rows read or written: bounds the Python strings held.

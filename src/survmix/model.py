@@ -10,12 +10,10 @@ The objective decomposes into five named terms: reconstruction, survival,
 clustering, prior, and variational entropy. ``elbo_grads`` is the one
 routine that computes it: encoder, reparameterization, decoder and, when
 survival times are given, the survival and mixture terms, followed by a
-single backward pass. ``fit`` calls it per batch, ``pretrain_init`` calls
-it without times (reconstruction only), and ``elbo_value`` returns its
-terms for frozen noise and responsibilities (the finite-difference oracle
-path). ``_latent_scores`` computes log p(z|c) + log pi, the Weibull scales
-and, given t, log p(t|z,c); the training pass, ``cluster_posterior*`` and
-``predict`` all use it.
+single backward pass. ``fit`` calls it per batch and ``pretrain_init``
+calls it without times (reconstruction only). ``_latent_scores`` computes
+log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
+training pass, ``cluster_posterior*`` and ``predict`` all use it.
 
 Every parameter array lives in one contiguous float64 vector,
 ``ModelParams.vector``, in ``ModelParams.flat()`` order: encoder, decoder,
@@ -83,10 +81,18 @@ class TrainConfig:
             raise ConfigError("latent_dim and num_clusters must be >= 1")
         if self.mc_samples < 1 or self.batch_size < 1:
             raise ConfigError("mc_samples and batch_size must be >= 1")
+        if min(self.epochs, self.pretrain_epochs) < 0:
+            raise ConfigError("epochs and pretrain_epochs must be >= 0")
+        if min((*self.enc_hidden, *self.dec_hidden), default=1) < 1:
+            raise ConfigError("enc_hidden and dec_hidden widths must be >= 1")
         if self.recon_loss not in ("mse", "bce"):
             raise ConfigError(f"unknown recon_loss {self.recon_loss!r}")
-        if self.weibull_shape <= 0:
-            raise ConfigError("weibull_shape must be positive")
+        if not 0.0 < self.weibull_shape < np.inf:  # nan fails it too
+            raise ConfigError(f"weibull_shape must be positive and finite, got {self.weibull_shape}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.survival_weight < np.inf:
+            raise ConfigError(f"survival_weight must be >= 0 and finite, got {self.survival_weight}")
 
 
 @dataclass
@@ -370,12 +376,6 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
         grads[f"enc.W{i}"] = enc_w[i]
         grads[f"enc.b{i}"] = enc_b[i]
     return terms, grads
-
-
-def elbo_value(params, X, t, event, eps, config, resp=None):
-    """Objective value for frozen noise (and optionally frozen
-    responsibilities). This is the path finite differences exercise."""
-    return elbo_grads(params, X, t, event, eps, config, resp=resp)[0]
 
 
 def _ascent(params, names, lr):

@@ -4,7 +4,6 @@ Networks are stacks of fully connected layers with relu or identity
 activations. The forward pass keeps every intermediate activation so
 the analytic backward pass can run without recomputation; it can skip
 the gradient with respect to the input when the caller discards it.
-A central-difference gradient oracle is provided for testing.
 
 Parameters may live in one contiguous float64 vector: ``pack`` copies a
 name->array dict into one and ``views`` lays such a dict out over any
@@ -61,10 +60,6 @@ class DenseNet:
     @property
     def input_dim(self):
         return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self):
-        return self.weights[-1].shape[1]
 
 
 def init_dense_net(layer_sizes, activations, rng):
@@ -215,28 +210,3 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if not p.flags.c_contiguous:
             p[...] = flat_p.reshape(p.shape)
     return params, state
-
-
-def finite_diff_grad(loss, params, eps=1e-5):
-    """Central-difference gradients of a scalar loss over a parameter dict.
-
-    Perturbs one coordinate at a time; the loss callable receives the
-    (mutated) dict and must not cache values between calls.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    grads = {}
-    for name, p in params.items():
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            hi = loss(params)
-            flat_p[i] = orig - eps
-            lo = loss(params)
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2.0 * eps)
-        grads[name] = g
-    return grads

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used to check the fast metrics.
+"""Brute-force reference implementations used to check the fast code.
 
 Everything here is written for clarity over speed: explicit loops,
 exhaustive enumeration, no shared code with the package under test.
@@ -219,3 +219,28 @@ def fit_brute(data, config):
             values.append(terms.total)
         trace.append(float(np.mean(values)))
     return params, trace
+
+
+def finite_diff_grad(loss, params, eps=1e-5):
+    """Central-difference gradients of a scalar loss over a parameter dict.
+
+    Perturbs one coordinate at a time; the loss callable receives the
+    (mutated) dict and must not cache values between calls.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    grads = {}
+    for name, p in params.items():
+        g = np.zeros_like(p)
+        flat_p = p.ravel()
+        flat_g = g.ravel()
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + eps
+            hi = loss(params)
+            flat_p[i] = orig - eps
+            lo = loss(params)
+            flat_p[i] = orig
+            flat_g[i] = (hi - lo) / (2.0 * eps)
+        grads[name] = g
+    return grads

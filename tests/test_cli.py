@@ -15,6 +15,7 @@ from survmix.cli import (
 )
 from survmix.datagen import PreprocessStats, load_csv
 from survmix.errors import ConfigError, FormatError
+from survmix import model
 from survmix.model import TrainConfig, init_params
 
 
@@ -74,6 +75,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad configuration value"):
             train_config_from(values)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"epochs = 3\nseed = \xff\n")
+        with pytest.raises(ConfigError, match=f"{p}: not UTF-8"):
+            parse_config(str(p))
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, gmm_prior=True):
@@ -102,6 +109,21 @@ class TestCheckpoint:
         assert lstats.max_time == stats.max_time
         np.testing.assert_array_equal(lstats.feature_mean, stats.feature_mean)
         assert meta["epochs"] == "3"
+
+    def test_file_with_old_size_entries_loads(self, tmp_path):
+        # Files written before the arch.enc_sizes/arch.dec_sizes entries
+        # were dropped carry them; they are read as ordinary meta.
+        params, stats, (new, _, _) = self.roundtrip(tmp_path)
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(params, stats, {"epochs": "3", "arch.enc_sizes": "5,6,6",
+                                        "arch.dec_sizes": "3,6,5"}, path)
+        old, old_stats, meta = load_checkpoint(path)
+        assert meta["arch.enc_sizes"] == "5,6,6"
+        X = np.random.default_rng(1).standard_normal((7, 5))
+        a, b = model.predict(new, X), model.predict(old, X)
+        for field in ("labels", "posterior", "latent", "median_time"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert old_stats.feature_std.tobytes() == stats.feature_std.tobytes()
 
     def test_round_trip_plain_prior(self, tmp_path):
         params, _, (loaded, _, _) = self.roundtrip(tmp_path, gmm_prior=False)
@@ -312,6 +334,39 @@ class TestCliErrors:
                   if not line.startswith("notice:")]
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error: bad configuration value")
+
+    @pytest.mark.parametrize("command, line, key", [
+        ("synthetic", "weibull_shape = -1", "weibull_shape"),
+        ("synthetic", "weibull_shape = nan", "weibull_shape"),
+        ("survmnist", "mean_survival = 0", "mean_survival"),
+        ("survmnist", "mean_survival = inf", "mean_survival"),
+        ("survmnist", "num_samples = 0", "num_samples"),
+        ("survmnist", "num_samples = -5", "num_samples"),
+        ("train", "learning_rate = -1", "learning_rate"),
+        ("train", "learning_rate = nan", "learning_rate"),
+        ("train", "epochs = -2", "epochs"),
+        ("train", "pretrain_epochs = -1", "pretrain_epochs"),
+        ("train", "survival_weight = nan", "survival_weight"),
+        ("train", "survival_weight = -0.5", "survival_weight"),
+        ("train", "weibull_shape = nan", "weibull_shape"),
+        ("train", "enc_hidden = -3", "enc_hidden"),
+        ("train", "enc_hidden = 0", "enc_hidden"),
+        ("train", "dec_hidden = 16,0", "dec_hidden"),
+    ])
+    def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, key):
+        # train gets real data, so a value validation lets through trains and exits 0
+        cfg = write_config(tmp_path, FAST_TRAIN + line + "\n")
+        if command == "train":
+            argv = ["train", "--data", os.path.join(pipeline["data"], "train.csv"),
+                    "--out", str(tmp_path / "m.ckpt")]
+        else:
+            argv = ["simulate", "--kind", command, "--out", str(tmp_path / "d")]
+        capsys.readouterr()
+        code = main(argv + ["--config", cfg])
+        errors = [msg for msg in capsys.readouterr().err.splitlines()
+                  if not msg.startswith("notice:")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
 
     MALFORMED_PREDICTIONS = {
         "non_integer_cluster": ("row_id,cluster,pred_time\n0,x,1.0\n",

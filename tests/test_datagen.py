@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,8 +15,6 @@ from survmix.datagen import (
     gen_synthetic,
     inverse_time_transform,
     load_csv,
-    load_idx_images,
-    load_idx_labels,
     make_surrogate_digit_features,
     preprocess,
     save_csv,
@@ -87,10 +83,6 @@ class TestGenLowRank:
         assert s[0] == pytest.approx(1.0, abs=0.05)
         assert s[2 * r] < 0.5 * s[0]
         assert s[-1] > 0.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            gen_low_rank(4, 4, seed=0, mode="banana")
 
 
 class TestSynthetic:
@@ -184,42 +176,6 @@ class TestSurvMnist:
     def test_too_many_clusters(self):
         with pytest.raises(ConfigError):
             SurvMnistConfig(num_clusters=11).validate()
-
-
-class TestIdx:
-    def write_images(self, path, arr):
-        n, rows, cols = arr.shape
-        with open(path, "wb") as f:
-            f.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-            f.write(arr.astype(np.uint8).tobytes())
-
-    def test_image_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        arr = rng.integers(0, 256, (3, 4, 5), dtype=np.uint8).reshape(3, 4, 5)
-        p = tmp_path / "img.idx"
-        self.write_images(p, arr)
-        got = load_idx_images(p)
-        assert got.shape == (3, 20)
-        np.testing.assert_allclose(got, arr.reshape(3, 20) / 255.0)
-
-    def test_label_round_trip(self, tmp_path):
-        p = tmp_path / "lab.idx"
-        with open(p, "wb") as f:
-            f.write(struct.pack(">II", 0x00000801, 4))
-            f.write(bytes([7, 0, 9, 3]))
-        np.testing.assert_array_equal(load_idx_labels(p), [7, 0, 9, 3])
-
-    def test_bad_magic_reports_offset(self, tmp_path):
-        p = tmp_path / "bad.idx"
-        p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
-        with pytest.raises(FormatError, match="byte 0"):
-            load_idx_images(p)
-
-    def test_truncated_payload_reports_offset(self, tmp_path):
-        p = tmp_path / "trunc.idx"
-        p.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(3))
-        with pytest.raises(FormatError, match="truncated"):
-            load_idx_images(p)
 
 
 class TestCsv:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fit_brute
+from oracles import finite_diff_grad, fit_brute
 from survmix import model
 from survmix.datagen import SurvivalDataset, SyntheticConfig, gen_synthetic, preprocess
 from survmix.errors import ConfigError, ShapeError, TrainingError
@@ -13,7 +13,6 @@ from survmix.model import (
     cluster_posterior,
     cluster_posterior_prior_only,
     elbo_grads,
-    elbo_value,
     encode,
     fit,
     init_params,
@@ -21,7 +20,6 @@ from survmix.model import (
     reparameterize,
     weibull_scales,
 )
-from survmix.nnet import finite_diff_grad
 
 
 def tiny_config(**kwargs):
@@ -146,8 +144,8 @@ class TestElbo:
         rng = np.random.default_rng(5)
         params = init_params(5, tiny_config(), rng)
         X, t, event = tiny_batch(rng)
-        terms = elbo_value(params, X, t, event, rng.standard_normal((1, 6, 3)),
-                           tiny_config())
+        terms, _ = elbo_grads(params, X, t, event, rng.standard_normal((1, 6, 3)),
+                              tiny_config())
         terms.check_finite()
         total = (terms.reconstruction + terms.survival + terms.clustering
                  + terms.prior + terms.entropy)
@@ -159,8 +157,8 @@ class TestElbo:
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
         eps = rng.standard_normal((1, 6, 3))
-        a = elbo_value(params, X, t, event, eps, config)
-        b = elbo_value(params, X, t, event, eps, config)
+        a = elbo_grads(params, X, t, event, eps, config)[0]
+        b = elbo_grads(params, X, t, event, eps, config)[0]
         assert a.total == b.total
 
     def test_survival_weight_zero_drops_survival_term(self):
@@ -169,7 +167,7 @@ class TestElbo:
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
         eps = rng.standard_normal((1, 6, 3))
-        terms = elbo_value(params, X, t, event, eps, config)
+        terms = elbo_grads(params, X, t, event, eps, config)[0]
         assert terms.survival == 0.0
 
     def test_kl_consistency_at_single_component(self):
@@ -190,7 +188,7 @@ class TestElbo:
         # 0.5 * sum(log 2 pi e + log var) / B  (single component => no
         # categorical entropy)
         eps = rng.standard_normal((1, B, j))
-        terms = elbo_value(params, X, t, event, eps, config)
+        terms = elbo_grads(params, X, t, event, eps, config)[0]
         ent_closed = 0.5 * np.sum(np.log(2 * np.pi) + 1.0 + log_var) / B
         assert terms.entropy == pytest.approx(ent_closed, rel=1e-12, abs=1e-12)
         assert terms.prior == pytest.approx(0.0, abs=1e-12)
@@ -201,7 +199,7 @@ class TestElbo:
         expected_clustering = -kl - ent_closed + 0.0  # rearranged identity
         # Monte Carlo convergence of the sampled clustering term
         big_eps = np.random.default_rng(0).standard_normal((4000, B, j))
-        mc = elbo_value(params, X, t, event, big_eps, config)
+        mc = elbo_grads(params, X, t, event, big_eps, config)[0]
         z = mu[None] + np.exp(0.5 * log_var)[None] * big_eps
         per_sample = -0.5 * (z**2 + np.log(2 * np.pi)).sum(axis=2).mean(axis=1)
         se = per_sample.std(ddof=1) / np.sqrt(len(per_sample))
@@ -240,7 +238,7 @@ class TestGradients:
         _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
 
         def objective(flat_params):
-            return elbo_value(params, X, t, event, eps, config, resp=resp).total
+            return elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total
 
         fd = finite_diff_grad(objective, params.flat(), eps=1e-5)
         for name in fd:
@@ -266,7 +264,7 @@ class TestGradients:
             resp = cluster_posterior(params, Z, t, event)
             _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
             fd = finite_diff_grad(
-                lambda _: elbo_value(params, X, t, event, eps, config, resp=resp).total,
+                lambda _: elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total,
                 params.flat(),
                 eps=1e-5,
             )
@@ -339,8 +337,9 @@ class TestFitPredict:
 
     def test_training_error_names_epoch_and_batch(self):
         data = self.small_data()
+        # finite, so the config is valid, but the first step overflows
         config = tiny_config(latent_dim=4, epochs=1, batch_size=64,
-                             learning_rate=np.inf)
+                             learning_rate=1e300)
         with pytest.raises(TrainingError, match="epoch 0"):
             fit(data, config)
 

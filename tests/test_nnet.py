@@ -3,14 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import adam_brute
+from oracles import adam_brute, finite_diff_grad
 from survmix.errors import ShapeError, TrainingError
 from survmix.nnet import (
     ADAM_BLOCK,
     AdamState,
     DenseNet,
     adam_step,
-    finite_diff_grad,
     init_dense_net,
     net_backward,
     net_forward,
