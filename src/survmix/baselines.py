@@ -153,7 +153,7 @@ def _aft_objective_grads(w, log_k, X1, t, event, ridge):
     return obj, gw, g_log_k
 
 
-def weibull_aft_fit(X, t, event, ridge=1e-3, seed=0, fixed_shape=None,
+def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None,
                     lr=0.05, max_steps=5000, grad_tol=1e-6):
     """Fit scale = softplus([1;x]·w), shape = exp(log_k) by Adam ascent
     on the censored log-likelihood with a ridge penalty on w[1:]."""

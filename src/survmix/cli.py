@@ -35,7 +35,7 @@ from .datagen import (
 )
 from .errors import ConfigError, FormatError, ShapeError, SurvmixError
 from .model import ModelParams, TrainConfig
-from .nnet import ACTIVATIONS, DenseNet
+from .nnet import DenseNet, layer_activations
 
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 1
@@ -171,8 +171,8 @@ def save_checkpoint(params, stats, config_values, path):
     tensors["stats.feature_std"] = stats.feature_std
 
     meta = dict(config_values)
-    meta["arch.enc_acts"] = ",".join(params.encoder.activations)
-    meta["arch.dec_acts"] = ",".join(params.decoder.activations)
+    for prefix, net in (("enc", params.encoder), ("dec", params.decoder)):
+        meta[f"arch.{prefix}_acts"] = ",".join(layer_activations(len(net.weights)))
     meta["arch.gmm_prior"] = "true" if params.gmm_prior else "false"
     meta["stats.feature_kind"] = stats.feature_kind
 
@@ -221,21 +221,16 @@ def load_checkpoint(path):
             arr = np.frombuffer(payload, dtype="<f8").copy()
             tensors[name] = arr.reshape(shape) if shape else arr[0]
 
-    def build_net(prefix, acts):
-        net = DenseNet()
-        for i, act in enumerate(acts):
-            if act not in ACTIVATIONS:
-                raise FormatError(f"{path}: unknown activation {act!r} in layer {prefix}.{i}")
-            net.weights.append(tensors[f"{prefix}.W{i}"])
-            net.biases.append(tensors[f"{prefix}.b{i}"])
-            net.activations.append(act)
-        return net
+    def build_net(prefix):
+        depth = len(meta[f"arch.{prefix}_acts"].split(","))
+        return DenseNet([tensors[f"{prefix}.W{i}"] for i in range(depth)],
+                        [tensors[f"{prefix}.b{i}"] for i in range(depth)])
 
     try:
-        _check_shapes(path, tensors, meta)
+        _check_entries(path, tensors, meta)
         params = ModelParams(
-            encoder=build_net("enc", meta["arch.enc_acts"].split(",")),
-            decoder=build_net("dec", meta["arch.dec_acts"].split(",")),
+            encoder=build_net("enc"),
+            decoder=build_net("dec"),
             mixture_logits=tensors["mix.logits"],
             means=tensors["mix.means"],
             log_vars=tensors["mix.log_vars"],
@@ -254,10 +249,12 @@ def load_checkpoint(path):
     return params, stats, meta
 
 
-def _check_shapes(path, tensors, meta):
-    """FormatError unless the tensors fit one model: D features from the
-    encoder's input, K clusters and J latents from mix.means, each hidden
-    width from its layer's bias (a missing axis reads as -1)."""
+def _check_entries(path, tensors, meta):
+    """FormatError unless each net's activations are nnet's rule for its
+    depth, the tensors fit one model (D features from the encoder's input,
+    K clusters and J latents from mix.means, each hidden width from its
+    layer's bias; a missing axis reads as -1), all values are finite and
+    the Weibull shape, time scale and feature scales are positive."""
 
     def dims(name, rank):
         return (np.shape(tensors[name]) + (-1,) * rank)[:rank]
@@ -266,7 +263,11 @@ def _check_shapes(path, tensors, meta):
     expected = {"mix.means": (k, j), "mix.log_vars": (k, j), "mix.logits": (k,),
                 "surv.betas": (k, j + 1), "stats.feature_mean": (d,), "stats.feature_std": (d,)}
     for prefix, width, out in (("enc", d, 2 * j), ("dec", j, d)):
-        n = meta[f"arch.{prefix}_acts"].count(",") + 1
+        acts = meta[f"arch.{prefix}_acts"]
+        n = acts.count(",") + 1
+        rule = ",".join(layer_activations(n))
+        if acts != rule:
+            raise FormatError(f"{path}: entry 'arch.{prefix}_acts' is {acts!r}, expected {rule!r}")
         for i in range(n):
             width_out = out if i == n - 1 else dims(f"{prefix}.b{i}", 1)[0]
             expected[f"{prefix}.W{i}"], expected[f"{prefix}.b{i}"] = (width, width_out), (width_out,)
@@ -278,6 +279,13 @@ def _check_shapes(path, tensors, meta):
         if np.shape(tensors[name]) != shape:
             raise FormatError(f"{path}: tensor {name!r} has shape {np.shape(tensors[name])}, "
                               f"expected {shape} to fit the other tensors")
+    for name, values in tensors.items():
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: tensor {name!r} holds a non-finite value")
+    for name in ("surv.shape", "stats.max_time", "stats.feature_std"):
+        if not (tensors[name] > 0.0).all():
+            raise FormatError(f"{path}: tensor {name!r} must be positive, "
+                              f"got minimum {np.min(tensors[name])}")
 
 
 # --- subcommands ---------------------------------------------------------

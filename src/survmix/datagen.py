@@ -336,9 +336,12 @@ def preprocess(dataset, stats=None):
     standardize real-valued features with train statistics.
 
     Returns (processed dataset, stats). Passing a dataset already
-    processed with the same stats is a no-op.
+    processed with the same stats is a no-op; without stats it is a
+    ConfigError, as its statistics are no longer the raw data's.
     """
     if dataset.processed:
+        if stats is None:
+            raise ConfigError("dataset already preprocessed: pass the stats it was processed with")
         return dataset, stats
     if stats is None:
         if len(dataset) == 0:

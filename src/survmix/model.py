@@ -10,8 +10,10 @@ The objective decomposes into five named terms: reconstruction, survival,
 clustering, prior, and variational entropy. ``elbo_grads`` is the one
 routine that computes it: encoder, reparameterization, decoder and, when
 survival times are given, the survival and mixture terms, followed by a
-single backward pass. ``fit`` calls it per batch and ``pretrain_init``
-calls it without times (reconstruction only). ``_latent_scores`` computes
+single backward pass. One loop, ``_train``, runs it per batch and takes
+the Adam step: ``fit`` runs that loop on every trainable parameter and
+``pretrain_init`` on the encoder and decoder without times
+(reconstruction only). ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it.
 
@@ -159,12 +161,8 @@ def init_params(input_dim, config, rng):
     config.validate()
     j = config.latent_dim
     k = config.num_clusters if config.gmm_prior else 1
-    enc_sizes = [input_dim, *config.enc_hidden, 2 * j]
-    enc_acts = ["relu"] * len(config.enc_hidden) + ["identity"]
-    dec_sizes = [j, *config.dec_hidden, input_dim]
-    dec_acts = ["relu"] * len(config.dec_hidden) + ["identity"]
-    encoder = init_dense_net(enc_sizes, enc_acts, rng)
-    decoder = init_dense_net(dec_sizes, dec_acts, rng)
+    encoder = init_dense_net([input_dim, *config.enc_hidden, 2 * j], rng)
+    decoder = init_dense_net([j, *config.dec_hidden, input_dim], rng)
     if config.gmm_prior:
         means = rng.standard_normal((k, j))
     else:
@@ -243,10 +241,7 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
 
 def _normalize_log_posterior(logits):
     if not np.all(np.isfinite(np.max(logits, axis=-1))):
-        raise TrainingError(
-            "degenerate cluster posterior: all component log-scores are -inf "
-            f"(min={np.min(logits)}, max={np.max(logits)})"
-        )
+        raise TrainingError("degenerate cluster posterior: no component log-score is finite")
     return softmax(logits, axis=-1)
 
 
@@ -378,30 +373,48 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
     return terms, grads
 
 
-def _ascent(params, names, lr):
-    """A step function that takes one Adam step up the objective, given
-    its gradients (a name -> array dict), on the parameters names: the
-    leading entries of params.flat(), so one prefix of params.vector.
+def _train(params, names, X, t, event, epochs, config, rng, callback=None):
+    """Adam ascent on the parameters names, the leading entries of
+    params.flat() (so one prefix of params.vector); t=None ascends the
+    pretraining objective. Returns the per-epoch mean batch objective.
 
-    The negated gradients are gathered into one buffer laid out like that
-    prefix, and adam_step sees the prefix and the buffer as one entry
-    each. A non-finite gradient raises TrainingError naming its parameter.
+    Each step gathers the negated gradients into one buffer laid out like
+    the prefix; adam_step sees the prefix and the buffer as one entry each.
+    Overflow warnings are silenced: a non-finite ELBO term, posterior or
+    gradient raises TrainingError naming the phase, epoch and batch.
     """
     vector = params.vector[: sum(np.size(a) for a in names.values())]
-    grad = np.empty_like(vector)
+    grad = np.zeros_like(vector)
     grad_views = views(grad, names)
     state = AdamState()
-
-    def step(grads):
-        for name, g in grad_views.items():
-            np.negative(grads[name], out=g)
-        try:
-            adam_step({"vector": vector}, {"vector": grad}, state, lr)
-        except TrainingError:
-            bad = next(k for k, g in grad_views.items() if not np.isfinite(g).all())
-            raise TrainingError(f"non-finite gradient for parameter {bad!r}") from None
-
-    return step
+    trace = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(X))
+        values = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for bstart in range(0, len(X), config.batch_size):
+                idx = order[bstart : bstart + config.batch_size]
+                eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
+                batch = (X[idx], None, None) if t is None else (X[idx], t[idx], event[idx])
+                try:
+                    terms, grads = elbo_grads(params, *batch, eps, config)
+                    terms.check_finite()
+                    for name, g in grad_views.items():
+                        np.negative(grads[name], out=g)
+                    adam_step({"vector": vector}, {"vector": grad}, state, config.learning_rate)
+                except (TrainingError, DomainError) as exc:
+                    # the buffer holds a non-finite value only if adam_step refused it
+                    bad = [k for k, g in grad_views.items() if not np.isfinite(g).all()]
+                    reason = f"non-finite gradient for parameter {bad[0]!r}" if bad else exc
+                    phase = "pretraining " if t is None else ""
+                    raise TrainingError(
+                        f"{phase}epoch {epoch}, batch {bstart // config.batch_size}: {reason}"
+                    ) from exc
+                values.append(terms.total)
+        trace.append(float(np.mean(values)))
+        if callback is not None:
+            callback(epoch, trace[-1])
+    return trace
 
 
 def pretrain_init(params, X, config, rng):
@@ -415,15 +428,8 @@ def pretrain_init(params, X, config, rng):
     if config.pretrain_epochs <= 0 or not params.gmm_prior:
         return params
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
     nets = {k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))}
-    step = _ascent(params, nets, config.learning_rate)
-    for _ in range(config.pretrain_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
-            step(elbo_grads(params, X[idx], None, None, eps, config)[1])
+    _train(params, nets, X, None, None, config.pretrain_epochs, config, rng)
     mu, _ = encode(params, X)
     gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
     params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
@@ -436,38 +442,18 @@ def fit(data, config, callback=None):
     """Train on a preprocessed dataset; returns (params, per-epoch trace).
 
     data must expose .features, .times, .events. The trace holds the mean
-    batch objective per epoch.
+    batch objective per epoch; callback(epoch, value) is called after each.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
     X = np.asarray(data.features, dtype=float)
     t = np.asarray(data.times, dtype=float)
     event = np.asarray(data.events, dtype=float)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ShapeError("no training rows")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
-    step = _ascent(params, params.flat(), config.learning_rate)
-    trace = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_vals = []
-        for bstart in range(0, n, config.batch_size):
-            idx = order[bstart : bstart + config.batch_size]
-            eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
-            try:
-                terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config)
-                terms.check_finite()
-                step(grads)
-            except (TrainingError, DomainError) as exc:
-                raise TrainingError(
-                    f"epoch {epoch}, batch {bstart // config.batch_size}: {exc}"
-                ) from exc
-            epoch_vals.append(terms.total)
-        trace.append(float(np.mean(epoch_vals)))
-        if callback is not None:
-            callback(epoch, trace[-1])
+    trace = _train(params, params.flat(), X, t, event, config.epochs, config, rng, callback)
     return params, trace
 
 

@@ -1,9 +1,10 @@
 """Minimal dense-network machinery.
 
-Networks are stacks of fully connected layers with relu or identity
-activations. The forward pass keeps every intermediate activation so
-the analytic backward pass can run without recomputation; it can skip
-the gradient with respect to the input when the caller discards it.
+Networks are stacks of fully connected layers: relu on every hidden
+layer and a linear (identity) output, the one kind of MLP the model
+uses. The forward pass keeps every intermediate activation so the
+analytic backward pass can run without recomputation; it can skip the
+gradient with respect to the input when the caller discards it.
 
 Parameters may live in one contiguous float64 vector: ``pack`` copies a
 name->array dict into one and ``views`` lays such a dict out over any
@@ -25,59 +26,37 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
-ACTIVATIONS = ("relu", "identity")
 ADAM_BLOCK = 32768  # elements per Adam block, so its six 256 KiB slices are reused from cache
 
 
-def _apply_activation(kind, a):
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    if kind == "identity":
-        return a
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activation_backward(kind, delta, pre):
-    # delta times the activation's derivative at the pre-activation.
-    if kind == "relu":
-        return delta * (pre > 0.0)
-    if kind == "identity":
-        return delta
-    raise ValueError(f"unknown activation {kind!r}")
+def layer_activations(depth):
+    """The activation of each layer of a depth-layer DenseNet."""
+    return ["relu"] * (depth - 1) + ["identity"]
 
 
 @dataclass
 class DenseNet:
-    """An ordered stack of (weight, bias, activation) layers.
+    """An ordered stack of (weight, bias) layers, relu on all but the last.
 
     weights[i] has shape (fan_in, fan_out); layer widths must chain.
     """
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-    activations: list = field(default_factory=list)
 
     @property
     def input_dim(self):
         return self.weights[0].shape[0]
 
 
-def init_dense_net(layer_sizes, activations, rng):
-    """Glorot-uniform weights, zero biases.
-
-    layer_sizes is the full width chain [in, h1, ..., out]; activations
-    has one tag per layer.
-    """
-    if len(activations) != len(layer_sizes) - 1:
-        raise ShapeError("need one activation per layer")
+def init_dense_net(layer_sizes, rng):
+    """Glorot-uniform weights, zero biases; layer_sizes is the full width
+    chain [in, h1, ..., out]."""
     net = DenseNet()
-    for fan_in, fan_out, act in zip(layer_sizes, layer_sizes[1:], activations):
-        if act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {act!r}")
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         net.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         net.biases.append(np.zeros(fan_out))
-        net.activations.append(act)
     return net
 
 
@@ -93,10 +72,11 @@ def net_forward(net, X):
         )
     post = X
     pres, posts = [], [X]
-    for W, b, act in zip(net.weights, net.biases, net.activations):
+    last = len(net.weights) - 1
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
         pre = post @ W
         pre += b
-        post = _apply_activation(act, pre)
+        post = pre if i == last else np.maximum(pre, 0.0)
         pres.append(pre)
         posts.append(post)
     return post, (pres, posts)
@@ -121,8 +101,10 @@ def net_backward(net, stack, upstream, input_grad=True):
     weight_grads = [None] * len(net.weights)
     bias_grads = [None] * len(net.weights)
     delta = upstream
-    for i in reversed(range(len(net.weights))):
-        delta = _activation_backward(net.activations[i], delta, pres[i])
+    last = len(net.weights) - 1
+    for i in reversed(range(last + 1)):
+        if i < last:
+            delta = delta * (pres[i] > 0.0)  # relu's derivative
         weight_grads[i] = posts[i].T @ delta
         bias_grads[i] = delta.sum(axis=0)
         if i > 0 or input_grad:

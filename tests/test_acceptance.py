@@ -111,8 +111,7 @@ def desk_results():
         out["acc_kmeans"].append(
             clustering_accuracy(test.labels, kmeans_assign(km, test.features))
         )
-        aft = weibull_aft_fit(train.features, train.times, train.events,
-                              seed=seed)
+        aft = weibull_aft_fit(train.features, train.times, train.events)
         aft_risk, _ = weibull_aft_predict(aft, test.features)
         out["ci_aft"].append(
             concordance_index(test.times, test.events, aft_risk)

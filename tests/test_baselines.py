@@ -113,14 +113,14 @@ class TestWeibullAft:
             return _aft_objective_grads(m.coefficients, np.log(m.shape), X1, t,
                                         event, m.ridge)[0]
 
-        model = weibull_aft_fit(X, t, event, seed=0, max_steps=2000)
-        init = weibull_aft_fit(X, t, event, seed=0, max_steps=0)
+        model = weibull_aft_fit(X, t, event, max_steps=2000)
+        init = weibull_aft_fit(X, t, event, max_steps=0)
         assert objective(model) > objective(init)
 
     def test_recovers_generating_shape(self):
         rng = np.random.default_rng(7)
         X, t, event, _ = aft_data(rng, n=2000, shape=2.0)
-        model = weibull_aft_fit(X, t, event, ridge=1e-4, seed=0)
+        model = weibull_aft_fit(X, t, event, ridge=1e-4)
         assert model.shape == pytest.approx(2.0, abs=0.3)
 
     def test_fixed_shape_is_respected(self):
@@ -132,7 +132,7 @@ class TestWeibullAft:
     def test_concordance_beats_random(self):
         rng = np.random.default_rng(9)
         X, t, event, _ = aft_data(rng)
-        model = weibull_aft_fit(X, t, event, seed=0, max_steps=2000)
+        model = weibull_aft_fit(X, t, event, max_steps=2000)
         risk, _ = weibull_aft_predict(model, X)
         assert concordance_index(t, event, risk) > 0.7
 
@@ -160,8 +160,8 @@ class TestWeibullAft:
     def test_ridge_shrinks_coefficients(self):
         rng = np.random.default_rng(11)
         X, t, event, _ = aft_data(rng, n=300)
-        loose = weibull_aft_fit(X, t, event, ridge=1e-6, seed=0, max_steps=1500)
-        tight = weibull_aft_fit(X, t, event, ridge=10.0, seed=0, max_steps=1500)
+        loose = weibull_aft_fit(X, t, event, ridge=1e-6, max_steps=1500)
+        tight = weibull_aft_fit(X, t, event, ridge=10.0, max_steps=1500)
         assert np.linalg.norm(tight.coefficients[1:]) < np.linalg.norm(
             loose.coefficients[1:]
         )

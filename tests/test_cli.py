@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.mixture_logits, params.mixture_logits)
         for w_a, w_b in zip(loaded.encoder.weights, params.encoder.weights):
             np.testing.assert_array_equal(w_a, w_b)
-        assert loaded.encoder.activations == params.encoder.activations
+        assert len(loaded.encoder.weights) == len(params.encoder.weights)
         assert loaded.shape == params.shape
         assert lstats.max_time == stats.max_time
         np.testing.assert_array_equal(lstats.feature_mean, stats.feature_mean)
@@ -161,6 +163,8 @@ class TestCheckpoint:
         "missing_meta_key": (b"arch.gmm_prior", b"arch.gmm_prioX", "arch.gmm_prior"),
         "missing_tensor": (b"mix.means", b"mix.meanX", "mix.means"),
         "unknown_activation": (b"relu,identity", b"relu,identitX", "identitX"),
+        # survmix builds relu hidden layers and a linear output only
+        "wrong_activation_order": (b"relu,identity", b"identity,relu", "identity,relu"),
         "non_utf8_string": (b"arch.gmm_prior", b"arch.gmm_prio\xff", "UTF-8"),
         # the last tensor's rank, dim and 8-byte payload become dims
         # 65536 x 65536 x 1: a 32 GiB tensor that must not be read
@@ -177,6 +181,29 @@ class TestCheckpoint:
         "narrow_decoder_W0": r"'dec.W0' has shape \(3, 5\), expected \(3, 6\)",
     }
 
+    # Well-formed containers with values no fitted model has: each edit
+    # is (object, attribute, index or None, value, message).
+    VALUE_EDITS = {
+        "nan_shape": ("params", "shape", None, np.nan, "'surv.shape' holds a non-finite"),
+        "nan_in_betas": ("params", "betas", (1, 2), np.nan, "'surv.betas' holds a non-finite"),
+        "inf_log_vars": ("params", "log_vars", (0, 1), np.inf, "'mix.log_vars' holds a non-finite"),
+        "zero_shape": ("params", "shape", None, 0.0, "'surv.shape' must be positive"),
+        "negative_max_time": ("stats", "max_time", None, -5.0, "'stats.max_time' must be positive"),
+        "zero_feature_std": ("stats", "feature_std", 3, 0.0, "'stats.feature_std' must be positive"),
+        "negative_feature_std": ("stats", "feature_std", 0, -1.0,
+                                 "'stats.feature_std' must be positive"),
+    }
+
+    @classmethod
+    def edit_values(cls, params, stats, kind):
+        owner, attr, index, value, message = cls.VALUE_EDITS[kind]
+        target = params if owner == "params" else stats
+        if index is None:
+            setattr(target, attr, value)
+        else:
+            getattr(target, attr)[index] = value
+        return message
+
     @staticmethod
     def edit_shape(params, stats, kind):
         if kind == "short_feature_mean":
@@ -188,7 +215,8 @@ class TestCheckpoint:
         else:
             params.decoder.weights[0] = params.decoder.weights[0][:, :-1]
 
-    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(SHAPE_EDITS))
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(SHAPE_EDITS)
+                             + sorted(VALUE_EDITS))
     def test_corrupt_entry_is_format_error(self, tmp_path, capsys, kind):
         params, stats, _ = self.roundtrip(tmp_path)
         path = tmp_path / "model.ckpt"
@@ -197,10 +225,13 @@ class TestCheckpoint:
             data = path.read_bytes()
             assert old in data
             path.write_bytes(data.replace(old, new, 1))
-        else:
+        elif kind in self.SHAPE_EDITS:
             self.edit_shape(params, stats, kind)
             save_checkpoint(params, stats, {"epochs": "3"}, str(path))
             message = self.SHAPE_EDITS[kind]
+        else:
+            message = self.edit_values(params, stats, kind)
+            save_checkpoint(params, stats, {"epochs": "3"}, str(path))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
         capsys.readouterr()
@@ -367,6 +398,21 @@ class TestCliErrors:
                   if not msg.startswith("notice:")]
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
+
+    def test_diverging_train_prints_one_error_line(self, pipeline, tmp_path):
+        # a valid config whose first step overflows the parameters; run as
+        # a process so stderr is exactly what a user sees
+        cfg = write_config(tmp_path, FAST_TRAIN + "learning_rate = 1e300\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "survmix.cli", "train", "--config", cfg,
+             "--data", os.path.join(pipeline["data"], "train.csv"),
+             "--out", str(tmp_path / "m.ckpt")],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=120)
+        errors = [line for line in done.stderr.splitlines() if not line.startswith("notice:")]
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert len(errors) == 1 and errors[0].startswith("error: epoch 0, batch "), errors
 
     MALFORMED_PREDICTIONS = {
         "non_integer_cluster": ("row_id,cluster,pred_time\n0,x,1.0\n",

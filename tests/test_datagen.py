@@ -296,6 +296,12 @@ class TestPreprocess:
         twice, _ = preprocess(once, stats_)
         assert twice is once
 
+    def test_reapplication_without_stats_rejected(self):
+        # there are no statistics to hand on to the test split
+        once, _ = preprocess(small_synth(seed=7))
+        with pytest.raises(ConfigError, match="already preprocessed"):
+            preprocess(once)
+
     def test_test_split_uses_train_stats(self):
         data = small_synth(seed=8)
         train, test = train_test_split(data, 0.25, seed=0)
