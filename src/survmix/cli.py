@@ -33,9 +33,9 @@ from .datagen import (
     _read_table,
     _write_table,
 )
-from .errors import ConfigError, FormatError, ShapeError, SurvmixError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixError, TrainingError
 from .model import ModelParams, TrainConfig
-from .nnet import DenseNet, layer_activations
+from .nnet import layer_activations
 
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 1
@@ -54,7 +54,6 @@ CONFIG_DEFAULTS = {
     "mc_samples": "1",
     "recon_loss": "mse",
     "survival_weight": "1.0",
-    "gmm_prior": "true",
     "seed": "42",
     "enc_hidden": "128,128",
     "dec_hidden": "128,128",
@@ -164,7 +163,7 @@ def _read_u32(f, path, what):
 
 def save_checkpoint(params, stats, config_values, path):
     """Binary container: magic, version, config echo, named tensors."""
-    tensors = dict(params.flat(trainable_only=False))
+    tensors = dict(params.tensors)
     tensors["surv.shape"] = np.asarray(params.shape)
     tensors["stats.max_time"] = np.asarray(stats.max_time)
     tensors["stats.feature_mean"] = stats.feature_mean
@@ -173,7 +172,6 @@ def save_checkpoint(params, stats, config_values, path):
     meta = dict(config_values)
     for prefix, net in (("enc", params.encoder), ("dec", params.decoder)):
         meta[f"arch.{prefix}_acts"] = ",".join(layer_activations(len(net.weights)))
-    meta["arch.gmm_prior"] = "true" if params.gmm_prior else "false"
     meta["stats.feature_kind"] = stats.feature_kind
 
     with open(path, "wb") as f:
@@ -221,23 +219,9 @@ def load_checkpoint(path):
             arr = np.frombuffer(payload, dtype="<f8").copy()
             tensors[name] = arr.reshape(shape) if shape else arr[0]
 
-    def build_net(prefix):
-        depth = len(meta[f"arch.{prefix}_acts"].split(","))
-        return DenseNet([tensors[f"{prefix}.W{i}"] for i in range(depth)],
-                        [tensors[f"{prefix}.b{i}"] for i in range(depth)])
-
     try:
         _check_entries(path, tensors, meta)
-        params = ModelParams(
-            encoder=build_net("enc"),
-            decoder=build_net("dec"),
-            mixture_logits=tensors["mix.logits"],
-            means=tensors["mix.means"],
-            log_vars=tensors["mix.log_vars"],
-            betas=tensors["surv.betas"],
-            shape=float(np.ravel(tensors["surv.shape"])[0]),
-            gmm_prior=meta["arch.gmm_prior"] == "true",
-        )
+        params = ModelParams(tensors, float(np.ravel(tensors["surv.shape"])[0]))
         stats = PreprocessStats(
             max_time=float(np.ravel(tensors["stats.max_time"])[0]),
             feature_mean=tensors["stats.feature_mean"],
@@ -246,32 +230,23 @@ def load_checkpoint(path):
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint entry {exc}") from None
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return params, stats, meta
 
 
 def _check_entries(path, tensors, meta):
     """FormatError unless each net's activations are nnet's rule for its
-    depth, the tensors fit one model (D features from the encoder's input,
-    K clusters and J latents from mix.means, each hidden width from its
-    layer's bias; a missing axis reads as -1), all values are finite and
-    the Weibull shape, time scale and feature scales are positive."""
-
-    def dims(name, rank):
-        return (np.shape(tensors[name]) + (-1,) * rank)[:rank]
-
-    (d,), (k, j) = dims("enc.W0", 1), dims("mix.means", 2)
-    expected = {"mix.means": (k, j), "mix.log_vars": (k, j), "mix.logits": (k,),
-                "surv.betas": (k, j + 1), "stats.feature_mean": (d,), "stats.feature_std": (d,)}
-    for prefix, width, out in (("enc", d, 2 * j), ("dec", j, d)):
+    depth, the stats fit the encoder's D inputs, the two scalars hold one
+    value, all values are finite and the Weibull shape, time scale and
+    feature scales are positive. ModelParams checks the model's shapes."""
+    d = (np.shape(tensors["enc.W0"]) + (-1,))[0]
+    expected = {"stats.feature_mean": (d,), "stats.feature_std": (d,)}
+    for prefix in ("enc", "dec"):
         acts = meta[f"arch.{prefix}_acts"]
-        n = acts.count(",") + 1
-        rule = ",".join(layer_activations(n))
+        rule = ",".join(layer_activations(sum(n.startswith(f"{prefix}.W") for n in tensors)))
         if acts != rule:
             raise FormatError(f"{path}: entry 'arch.{prefix}_acts' is {acts!r}, expected {rule!r}")
-        for i in range(n):
-            width_out = out if i == n - 1 else dims(f"{prefix}.b{i}", 1)[0]
-            expected[f"{prefix}.W{i}"], expected[f"{prefix}.b{i}"] = (width, width_out), (width_out,)
-            width = width_out
     # the two scalars are stored with rank 0 or 1
     expected.update({name: np.shape(tensors[name]) if np.size(tensors[name]) == 1 else ()
                      for name in ("surv.shape", "stats.max_time")})
@@ -340,9 +315,18 @@ def cmd_predict(checkpoint_path, data_path, out_path):
             f"checkpoint expects {params.input_dim}"
         )
     # Times and events are deliberately not passed: held-out prediction
-    # must not peek at the outcome columns.
-    pred = model.predict(params, preprocess(dataset, stats)[0].features)
-    t_hat = inverse_time_transform(pred.median_time, stats)
+    # must not peek at the outcome columns. Overflow warnings are silenced;
+    # a non-finite posterior or time is rejected, naming its row.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            pred = model.predict(params, preprocess(dataset, stats)[0].features)
+        except TrainingError as exc:
+            raise DomainError(f"{checkpoint_path}: {exc}") from None
+        t_hat = inverse_time_transform(pred.median_time, stats)
+    bad = np.flatnonzero(~(np.isfinite(pred.posterior).all(axis=1) & np.isfinite(t_hat)))
+    if len(bad):
+        raise DomainError(f"{checkpoint_path}: row {bad[0]}: non-finite cluster posterior "
+                          f"or pred_time {t_hat[bad[0]]}")
     header = (
         ["row_id", "cluster"]
         + [f"p_{c}" for c in range(pred.posterior.shape[1])]

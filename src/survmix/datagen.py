@@ -88,6 +88,8 @@ class SyntheticConfig:
             raise ConfigError(f"unknown cov_mode {self.cov_mode!r}")
         if not 0.0 < self.weibull_shape < np.inf:  # nan fails it too
             raise ConfigError(f"weibull_shape must be positive and finite, got {self.weibull_shape}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -104,6 +106,8 @@ class SurvMnistConfig:
             raise ConfigError("censoring_fraction must be in [0, 1)")
         if not 0.0 < self.mean_survival < np.inf:
             raise ConfigError(f"mean_survival must be positive and finite, got {self.mean_survival}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_spd(d, seed):

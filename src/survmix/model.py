@@ -17,14 +17,15 @@ the Adam step: ``fit`` runs that loop on every trainable parameter and
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it.
 
-Every parameter array lives in one contiguous float64 vector,
-``ModelParams.vector``, in ``ModelParams.flat()`` order: encoder, decoder,
-survival heads, then mixture. The arrays held by the networks and by
-``ModelParams`` are reshaped views of it, so the trainable parameters are
-one prefix of the vector (the encoder and decoder a shorter one, which
-pretraining updates). Each step gathers the negated gradients into one
-buffer laid out the same way, and ``adam_step`` updates the whole prefix
-in cache-sized blocks.
+Every parameter lives in one store, ``ModelParams``: a name -> array
+dict whose construction checks that the arrays form one model and copies
+them into one contiguous float64 vector, ``ModelParams.vector``, in
+encoder, decoder, survival heads, mixture order. The networks and the
+mixture and survival arrays are read-only views of it, so the trainable
+parameters are the vector (the encoder and decoder one prefix of it,
+which pretraining updates). Each step gathers the negated gradients into
+one buffer laid out the same way, and ``adam_step`` updates the whole
+prefix in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class TrainConfig:
     mc_samples: int = 1
     recon_loss: str = "mse"  # "mse" | "bce"
     survival_weight: float = 1.0  # 0 disables the survival term (unsupervised ablation)
-    gmm_prior: bool = True  # False: plain VAE prior + single survival head
     seed: int = 42
     enc_hidden: tuple = (128, 128)
     dec_hidden: tuple = (128, 128)
@@ -95,38 +95,43 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.survival_weight < np.inf:
             raise ConfigError(f"survival_weight must be >= 0 and finite, got {self.survival_weight}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class ModelParams:
-    """All trainable quantities.
+    """All trainable quantities, held once.
 
-    The encoder maps D features to 2J outputs (latent mean, latent
-    log-variance); the decoder maps J latents back to D outputs. Mixture
-    components and survival heads are indexed consistently. On
-    construction every array is copied into ``vector`` and replaced by a
-    view of it.
+    tensors maps enc.W0, enc.b0, ..., dec.*, surv.betas, mix.logits,
+    mix.means and mix.log_vars to their arrays; other entries (a
+    checkpoint's stats, say) are dropped. The encoder maps D features to
+    2J outputs (latent mean, latent log-variance), the decoder maps J
+    latents back to D outputs, and mixture components and survival heads
+    are indexed consistently. Construction raises ShapeError unless the
+    tensors fit together (KeyError if one is missing), copies them into
+    ``vector`` in encoder, decoder, survival, mixture order and keeps only
+    views of it; the networks and arrays below are read-only views of
+    tensors.
     """
 
-    encoder: DenseNet
-    decoder: DenseNet
-    mixture_logits: np.ndarray  # (K,)
-    means: np.ndarray  # (K, J)
-    log_vars: np.ndarray  # (K, J)
-    betas: np.ndarray  # (K, J+1); column 0 is the bias
+    tensors: dict
     shape: float
-    gmm_prior: bool = True
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vector, arrays = pack(self.flat(trainable_only=False))
-        for net, prefix in ((self.encoder, "enc"), (self.decoder, "dec")):
-            net.weights = [arrays[f"{prefix}.W{i}"] for i in range(len(net.weights))]
-            net.biases = [arrays[f"{prefix}.b{i}"] for i in range(len(net.biases))]
-        self.betas = arrays["surv.betas"]
-        self.mixture_logits = arrays["mix.logits"]
-        self.means = arrays["mix.means"]
-        self.log_vars = arrays["mix.log_vars"]
+        self.vector, self.tensors = pack(_layout(self.tensors))
+
+    def _net(self, prefix):
+        arrays = tuple(a for name, a in self.tensors.items() if name.startswith(f"{prefix}."))
+        return DenseNet(arrays[0::2], arrays[1::2])  # laid out W0, b0, W1, b1, ...
+
+    encoder = property(lambda self: self._net("enc"))
+    decoder = property(lambda self: self._net("dec"))
+    betas = property(lambda self: self.tensors["surv.betas"])  # (K, J+1); column 0 is the bias
+    mixture_logits = property(lambda self: self.tensors["mix.logits"])  # (K,)
+    means = property(lambda self: self.tensors["mix.means"])  # (K, J)
+    log_vars = property(lambda self: self.tensors["mix.log_vars"])  # (K, J)
 
     @property
     def latent_dim(self):
@@ -140,43 +145,46 @@ class ModelParams:
     def input_dim(self):
         return self.encoder.input_dim
 
-    def flat(self, trainable_only=True):
-        """Named view of the parameter arrays (shared memory, not copies)."""
-        out = {}
-        for i, (w, b) in enumerate(zip(self.encoder.weights, self.encoder.biases)):
-            out[f"enc.W{i}"] = w
-            out[f"enc.b{i}"] = b
-        for i, (w, b) in enumerate(zip(self.decoder.weights, self.decoder.biases)):
-            out[f"dec.W{i}"] = w
-            out[f"dec.b{i}"] = b
-        out["surv.betas"] = self.betas
-        if self.gmm_prior or not trainable_only:
-            out["mix.logits"] = self.mixture_logits
-            out["mix.means"] = self.means
-            out["mix.log_vars"] = self.log_vars
-        return out
+
+def _layout(tensors):
+    """The model's tensors in vector order. ShapeError names the first one
+    that does not fit (D features from enc.W0, K clusters and J latents
+    from mix.means, each hidden width from its layer's bias; a missing
+    axis reads as -1), KeyError the first one missing."""
+
+    def dims(name, rank):
+        return (np.shape(tensors[name]) + (-1,) * rank)[:rank]
+
+    (d,), (k, j) = dims("enc.W0", 1), dims("mix.means", 2)
+    expected = {}
+    for prefix, width, out in (("enc", d, 2 * j), ("dec", j, d)):
+        n = sum(name.startswith(f"{prefix}.W") for name in tensors) or 1
+        for i in range(n):
+            width_out = out if i == n - 1 else dims(f"{prefix}.b{i}", 1)[0]
+            expected[f"{prefix}.W{i}"], expected[f"{prefix}.b{i}"] = (width, width_out), (width_out,)
+            width = width_out
+    expected.update({"surv.betas": (k, j + 1), "mix.logits": (k,), "mix.means": (k, j),
+                     "mix.log_vars": (k, j)})
+    for name, shape in expected.items():
+        if np.shape(tensors[name]) != shape:
+            raise ShapeError(f"tensor {name!r} has shape {np.shape(tensors[name])}, "
+                             f"expected {shape} to fit the other tensors")
+    return {name: tensors[name] for name in expected}
 
 
 def init_params(input_dim, config, rng):
     config.validate()
-    j = config.latent_dim
-    k = config.num_clusters if config.gmm_prior else 1
-    encoder = init_dense_net([input_dim, *config.enc_hidden, 2 * j], rng)
-    decoder = init_dense_net([j, *config.dec_hidden, input_dim], rng)
-    if config.gmm_prior:
-        means = rng.standard_normal((k, j))
-    else:
-        means = np.zeros((k, j))
-    return ModelParams(
-        encoder=encoder,
-        decoder=decoder,
-        mixture_logits=np.zeros(k),
-        means=means,
-        log_vars=np.zeros((k, j)),
-        betas=0.01 * rng.standard_normal((k, j + 1)),
-        shape=config.weibull_shape,
-        gmm_prior=config.gmm_prior,
-    )
+    j, k = config.latent_dim, config.num_clusters
+    tensors = {}
+    for prefix, sizes in (("enc", [input_dim, *config.enc_hidden, 2 * j]),
+                          ("dec", [j, *config.dec_hidden, input_dim])):
+        net = init_dense_net(sizes, rng)
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            tensors[f"{prefix}.W{i}"], tensors[f"{prefix}.b{i}"] = w, b
+    tensors["mix.means"] = rng.standard_normal((k, j))
+    tensors["surv.betas"] = 0.01 * rng.standard_normal((k, j + 1))
+    tensors["mix.logits"], tensors["mix.log_vars"] = np.zeros(k), np.zeros((k, j))
+    return ModelParams(tensors, config.weibull_shape)
 
 
 def encode(params, X):
@@ -240,8 +248,10 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
 
 
 def _normalize_log_posterior(logits):
-    if not np.all(np.isfinite(np.max(logits, axis=-1))):
-        raise TrainingError("degenerate cluster posterior: no component log-score is finite")
+    bad = np.flatnonzero(~np.isfinite(np.max(logits, axis=-1)))
+    if len(bad):
+        raise TrainingError(f"degenerate cluster posterior: no component log-score "
+                            f"is finite in row {bad[0]}")
     return softmax(logits, axis=-1)
 
 
@@ -348,13 +358,12 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
         # Mixture parameters, via clustering and prior terms.
         diff = Z[:, None, :] - params.means[None]  # (n, K, J)
         w = resp[:, :, None] / s.var[None]
-        if params.gmm_prior:
-            grads["mix.means"] = (w * diff).sum(axis=0) / n
-            grads["mix.log_vars"] = (
-                resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
-            ).sum(axis=0) / n
-            pi = np.exp(s.log_pi)
-            grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / n
+        grads["mix.means"] = (w * diff).sum(axis=0) / n
+        grads["mix.log_vars"] = (
+            resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
+        ).sum(axis=0) / n
+        pi = np.exp(s.log_pi)
+        grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / n
         dZ = dZ - (w * diff).sum(axis=1) / n
 
     # Reparameterization: z = mu + sigma * eps.
@@ -375,7 +384,7 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
 
 def _train(params, names, X, t, event, epochs, config, rng, callback=None):
     """Adam ascent on the parameters names, the leading entries of
-    params.flat() (so one prefix of params.vector); t=None ascends the
+    params.tensors (so one prefix of params.vector); t=None ascends the
     pretraining objective. Returns the per-epoch mean batch objective.
 
     Each step gathers the negated gradients into one buffer laid out like
@@ -425,10 +434,10 @@ def pretrain_init(params, X, config, rng):
     and copy its statistics into the prior. With 0 epochs the mixture is
     left at its random initialization (uniform weights).
     """
-    if config.pretrain_epochs <= 0 or not params.gmm_prior:
+    if config.pretrain_epochs <= 0:
         return params
     X = np.asarray(X, dtype=float)
-    nets = {k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))}
+    nets = {k: v for k, v in params.tensors.items() if k.startswith(("enc.", "dec."))}
     _train(params, nets, X, None, None, config.pretrain_epochs, config, rng)
     mu, _ = encode(params, X)
     gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
@@ -453,7 +462,7 @@ def fit(data, config, callback=None):
         raise ShapeError("no training rows")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
-    trace = _train(params, params.flat(), X, t, event, config.epochs, config, rng, callback)
+    trace = _train(params, params.tensors, X, t, event, config.epochs, config, rng, callback)
     return params, trace
 
 

@@ -6,9 +6,11 @@ uses. The forward pass keeps every intermediate activation so the
 analytic backward pass can run without recomputation; it can skip the
 gradient with respect to the input when the caller discards it.
 
-Parameters may live in one contiguous float64 vector: ``pack`` copies a
-name->array dict into one and ``views`` lays such a dict out over any
-vector of the same length (a gradient buffer, say), as reshaped views.
+A network only holds arrays; it owns no storage. ``pack`` copies a
+name->array dict into one contiguous float64 vector and ``views`` lays
+such a dict out over any vector of the same length (a gradient buffer,
+say), as reshaped views: ``model.ModelParams`` keeps every parameter in
+one such vector and builds its networks from views of it.
 ``adam_step`` updates each entry in blocks of ``ADAM_BLOCK`` elements
 through two scratch buffers kept in ``AdamState``, so a whole parameter
 vector is updated in cache-sized pieces without temporaries, with the

@@ -195,8 +195,8 @@ def fit_brute(data, config):
             idx = order[start : start + bs]
             yield idx, rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
 
-    if config.pretrain_epochs > 0 and params.gmm_prior:
-        net = {k: v for k, v in params.flat().items() if k.startswith(("enc.", "dec."))}
+    if config.pretrain_epochs > 0:
+        net = {k: v for k, v in params.tensors.items() if k.startswith(("enc.", "dec."))}
         state = {"m": {}, "v": {}, "step": 0}
         for _ in range(config.pretrain_epochs):
             for idx, eps in batches():
@@ -208,7 +208,7 @@ def fit_brute(data, config):
         params.means[:] = gmm.means
         params.log_vars[:] = np.log(np.maximum(gmm.variances, 1e-6))
 
-    flat = params.flat()
+    flat = params.tensors
     state = {"m": {}, "v": {}, "step": 0}
     trace = []
     for _ in range(config.epochs):

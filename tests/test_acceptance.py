@@ -230,7 +230,7 @@ def test_criterion_05_gradient_finite_differences():
         fd = finite_diff_grad(
             lambda _: elbo_grads(params, X, t, event, eps, config,
                                  resp=resp)[0].total,
-            params.flat(), eps=1e-5,
+            params.tensors, eps=1e-5,
         )
         for name, g in grads.items():
             scale = max(np.max(np.abs(fd[name])), 1e-4)

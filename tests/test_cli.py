@@ -16,9 +16,9 @@ from survmix.cli import (
     train_config_from,
 )
 from survmix.datagen import PreprocessStats, load_csv
-from survmix.errors import ConfigError, FormatError
+from survmix.errors import ConfigError, FormatError, ShapeError
 from survmix import model
-from survmix.model import TrainConfig, init_params
+from survmix.model import ModelParams, TrainConfig, init_params
 
 
 FAST_TRAIN = """
@@ -85,10 +85,10 @@ class TestConfigParsing:
 
 
 class TestCheckpoint:
-    def roundtrip(self, tmp_path, gmm_prior=True):
+    def roundtrip(self, tmp_path, num_clusters=2, meta=()):
         rng = np.random.default_rng(0)
-        config = TrainConfig(latent_dim=3, num_clusters=2, enc_hidden=(6,),
-                             dec_hidden=(6,), gmm_prior=gmm_prior)
+        config = TrainConfig(latent_dim=3, num_clusters=num_clusters, enc_hidden=(6,),
+                             dec_hidden=(6,))
         params = init_params(5, config, rng)
         stats = PreprocessStats(
             max_time=12.5,
@@ -96,7 +96,7 @@ class TestCheckpoint:
             feature_std=rng.uniform(0.5, 2.0, 5),
         )
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(params, stats, {"epochs": "3"}, path)
+        save_checkpoint(params, stats, {"epochs": "3", **dict(meta)}, path)
         return params, stats, load_checkpoint(path)
 
     def test_round_trip_exact(self, tmp_path):
@@ -128,9 +128,17 @@ class TestCheckpoint:
         assert old_stats.feature_std.tobytes() == stats.feature_std.tobytes()
 
     def test_round_trip_plain_prior(self, tmp_path):
-        params, _, (loaded, _, _) = self.roundtrip(tmp_path, gmm_prior=False)
-        assert loaded.gmm_prior is False
-        assert loaded.num_clusters == 1
+        # Files written with the plain N(0, I) prior, since removed, carry
+        # arch.gmm_prior = false and one component; the entry is ignored.
+        params, _, (loaded, _, meta) = self.roundtrip(
+            tmp_path, num_clusters=1, meta={"gmm_prior": "false", "arch.gmm_prior": "false"})
+        assert meta["arch.gmm_prior"] == "false" and loaded.num_clusters == 1
+        X = np.random.default_rng(1).standard_normal((7, 5))
+        t, event = np.linspace(0.1, 1.0, 7), np.tile([0.0, 1.0], 4)[:7]
+        for args in ((X,), (X, t, event)):
+            a, b = model.predict(params, *args), model.predict(loaded, *args)
+            for field in ("labels", "posterior", "latent", "median_time"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"
@@ -160,12 +168,12 @@ class TestCheckpoint:
 
     # Same-length byte edits that keep the container well formed.
     CORRUPTIONS = {
-        "missing_meta_key": (b"arch.gmm_prior", b"arch.gmm_prioX", "arch.gmm_prior"),
+        "missing_meta_key": (b"arch.enc_acts", b"arch.enc_actX", "arch.enc_acts"),
         "missing_tensor": (b"mix.means", b"mix.meanX", "mix.means"),
         "unknown_activation": (b"relu,identity", b"relu,identitX", "identitX"),
         # survmix builds relu hidden layers and a linear output only
         "wrong_activation_order": (b"relu,identity", b"identity,relu", "identity,relu"),
-        "non_utf8_string": (b"arch.gmm_prior", b"arch.gmm_prio\xff", "UTF-8"),
+        "non_utf8_string": (b"arch.enc_acts", b"arch.enc_act\xff", "UTF-8"),
         # the last tensor's rank, dim and 8-byte payload become dims
         # 65536 x 65536 x 1: a 32 GiB tensor that must not be read
         "absurd_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
@@ -205,15 +213,15 @@ class TestCheckpoint:
         return message
 
     @staticmethod
-    def edit_shape(params, stats, kind):
+    def edit_shape(tensors, stats, kind):
         if kind == "short_feature_mean":
             stats.feature_mean = stats.feature_mean[:-1]
         elif kind == "narrow_betas":
-            params.betas = params.betas[:, :-1]
+            tensors["surv.betas"] = tensors["surv.betas"][:, :-1]
         elif kind == "short_encoder_W1":
-            params.encoder.weights[1] = params.encoder.weights[1][:-1]
+            tensors["enc.W1"] = tensors["enc.W1"][:-1]
         else:
-            params.decoder.weights[0] = params.decoder.weights[0][:, :-1]
+            tensors["dec.W0"] = tensors["dec.W0"][:, :-1]
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(SHAPE_EDITS)
                              + sorted(VALUE_EDITS))
@@ -226,7 +234,7 @@ class TestCheckpoint:
             assert old in data
             path.write_bytes(data.replace(old, new, 1))
         elif kind in self.SHAPE_EDITS:
-            self.edit_shape(params, stats, kind)
+            self.edit_shape(params.tensors, stats, kind)
             save_checkpoint(params, stats, {"epochs": "3"}, str(path))
             message = self.SHAPE_EDITS[kind]
         else:
@@ -241,6 +249,14 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", sorted(set(SHAPE_EDITS) - {"short_feature_mean"}))
+    def test_inconsistent_tensors_are_shape_error(self, tmp_path, kind):
+        params, stats, _ = self.roundtrip(tmp_path)
+        tensors = dict(params.tensors)
+        self.edit_shape(tensors, stats, kind)
+        with pytest.raises(ShapeError, match=self.SHAPE_EDITS[kind]):
+            ModelParams(tensors, params.shape)
 
 
 @pytest.fixture(scope="module")
@@ -383,21 +399,61 @@ class TestCliErrors:
         ("train", "enc_hidden = -3", "enc_hidden"),
         ("train", "enc_hidden = 0", "enc_hidden"),
         ("train", "dec_hidden = 16,0", "dec_hidden"),
+        ("synthetic", "seed = -1", "seed"),
+        ("survmnist", "seed = -1", "seed"),
+        ("train", "seed = -1", "seed"),
+        ("synthetic", "--seed -3", "seed"),
+        ("train", "--seed -3", "seed"),
     ])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, key):
-        # train gets real data, so a value validation lets through trains and exits 0
-        cfg = write_config(tmp_path, FAST_TRAIN + line + "\n")
+        # train gets real data, so a value validation lets through trains and exits 0;
+        # a line starting with -- is given as command-line flags instead
+        flags = line.split() if line.startswith("--") else []
+        cfg = write_config(tmp_path, FAST_TRAIN + ("" if flags else line + "\n"))
         if command == "train":
             argv = ["train", "--data", os.path.join(pipeline["data"], "train.csv"),
                     "--out", str(tmp_path / "m.ckpt")]
         else:
             argv = ["simulate", "--kind", command, "--out", str(tmp_path / "d")]
         capsys.readouterr()
-        code = main(argv + ["--config", cfg])
+        code = main(argv + ["--config", cfg] + flags)
         errors = [msg for msg in capsys.readouterr().err.splitlines()
                   if not msg.startswith("notice:")]
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
+
+    # Checkpoints that load but whose values overflow in prediction, each
+    # (tensor, index, value, message): with no message, predict exits 0
+    # with finite output and nothing on stderr; with one, it exits 1 with
+    # that one line naming the checkpoint and the row.
+    PREDICT_EDITS = {
+        "huge_log_var": ("mix.log_vars", (0, 0), 800.0, None),
+        "huge_mean": ("mix.means", (0, 0), 1e200, None),
+        "huge_encoder_weight": ("enc.W0", (0, 0), 1e300,
+                                "degenerate cluster posterior: no component log-score "
+                                "is finite in row 0"),
+        "huge_survival_bias": ("surv.betas", (0, 0), 1e308,
+                               "row 0: non-finite cluster posterior or pred_time inf"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PREDICT_EDITS))
+    def test_overflowing_checkpoint_predicts_without_warnings(self, pipeline, tmp_path,
+                                                              capsys, kind):
+        name, index, value, message = self.PREDICT_EDITS[kind]
+        params, stats, meta = load_checkpoint(pipeline["ckpt"])
+        params.tensors[name][index] = value
+        ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "p.csv"
+        save_checkpoint(params, stats, meta, ckpt)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", ckpt,
+                     "--data", os.path.join(pipeline["data"], "test.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and err == ""
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+        else:
+            assert code == 1
+            assert err == f"error: {ckpt}: {message}\n"
 
     def test_diverging_train_prints_one_error_line(self, pipeline, tmp_path):
         # a valid config whose first step overflows the parameters; run as

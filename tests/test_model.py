@@ -47,16 +47,6 @@ class TestInit:
         assert params.encoder.weights[-1].shape[1] == 6  # 2 * latent_dim
         assert params.decoder.weights[0].shape[0] == 3
 
-    def test_plain_prior_single_component_at_origin(self):
-        rng = np.random.default_rng(0)
-        params = init_params(5, tiny_config(gmm_prior=False), rng)
-        assert params.num_clusters == 1
-        np.testing.assert_array_equal(params.means, np.zeros((1, 3)))
-        np.testing.assert_array_equal(params.log_vars, np.zeros((1, 3)))
-        # mixture parameters are not trainable in this mode
-        assert "mix.means" not in params.flat()
-        assert "mix.means" in params.flat(trainable_only=False)
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(recon_loss="huber").validate()
@@ -177,8 +167,9 @@ class TestElbo:
         # two independent closed forms for the non-MC pieces, and a
         # large-sample check for the MC piece.
         rng = np.random.default_rng(8)
-        config = tiny_config(gmm_prior=False, survival_weight=0.0)
+        config = tiny_config(num_clusters=1, survival_weight=0.0)
         params = init_params(5, config, rng)
+        params.means[:] = 0.0
         X, t, event = tiny_batch(rng)
         mu, log_var = encode(params, X)
         var = np.exp(log_var)
@@ -240,7 +231,7 @@ class TestGradients:
         def objective(flat_params):
             return elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total
 
-        fd = finite_diff_grad(objective, params.flat(), eps=1e-5)
+        fd = finite_diff_grad(objective, params.tensors, eps=1e-5)
         for name in fd:
             # without t only the encoder and decoder enter the objective
             g = grads.get(name, np.zeros_like(fd[name]))
@@ -265,7 +256,7 @@ class TestGradients:
             _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
             fd = finite_diff_grad(
                 lambda _: elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total,
-                params.flat(),
+                params.tensors,
                 eps=1e-5,
             )
             for name, g in grads.items():
@@ -343,16 +334,16 @@ class TestFitPredict:
         with pytest.raises(TrainingError, match="epoch 0"):
             fit(data, config)
 
-    @pytest.mark.parametrize("gmm_prior", [True, False])
-    def test_bitwise_equal_to_reference_loop(self, gmm_prior):
+    @pytest.mark.parametrize("pretrain_epochs", [1, 0])
+    def test_bitwise_equal_to_reference_loop(self, pretrain_epochs):
         data = self.small_data()
         config = tiny_config(latent_dim=4, epochs=3, batch_size=64,
-                             pretrain_epochs=1, gmm_prior=gmm_prior)
+                             pretrain_epochs=pretrain_epochs)
         params, trace = fit(data, config)
         ref_params, ref_trace = fit_brute(data, config)
         assert trace == ref_trace
-        ref = ref_params.flat(trainable_only=False)
-        for name, a in params.flat(trainable_only=False).items():
+        ref = ref_params.tensors
+        for name, a in params.tensors.items():
             assert a.tobytes() == ref[name].tobytes(), name
 
     @pytest.mark.parametrize("name, pretrain_epochs", [
@@ -376,7 +367,7 @@ class TestFitPredict:
 
     def test_parameters_are_views_of_one_vector(self):
         params = init_params(5, tiny_config(), np.random.default_rng(0))
-        arrays = params.flat(trainable_only=False)
+        arrays = params.tensors
         assert sum(a.size for a in arrays.values()) == params.vector.size
         offset = 0
         for name, a in arrays.items():
