@@ -53,9 +53,9 @@ def _kmeans_pp_init(X, k, rng):
     return centers
 
 
-def _lloyd(X, centers, max_iter=300):
+def _lloyd(X, centers):
     labels = None
-    for _ in range(max_iter):
+    for _ in range(300):
         d2 = ((X[:, None, :] - centers[None]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
@@ -96,7 +96,7 @@ def kmeans_assign(model, X):
     return np.argmin(d2, axis=1)
 
 
-def gmm_em_fit(X, k, seed=0, max_iter=100, tol=1e-6):
+def gmm_em_fit(X, k, seed=0):
     """Diagonal-covariance Gaussian mixture via EM, k-means initialized.
 
     Returns (model, log-likelihood trace); the trace is non-decreasing.
@@ -117,7 +117,7 @@ def gmm_em_fit(X, k, seed=0, max_iter=100, tol=1e-6):
 
     trace = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(100):
         log_comp = log_gaussian_diag(X[:, None, :], means[None], variances[None])
         log_joint = log_comp + np.log(weights)[None]
         ll = float(log_sum_exp(log_joint, axis=1).mean())
@@ -132,7 +132,7 @@ def gmm_em_fit(X, k, seed=0, max_iter=100, tol=1e-6):
         if np.any(variances < VAR_FLOOR):
             warnings.warn("mixture component collapsed; flooring variances")
             variances = np.maximum(variances, VAR_FLOOR)
-        if ll - prev_ll < tol * max(1.0, abs(ll)) and ll >= prev_ll:
+        if ll - prev_ll < 1e-6 * max(1.0, abs(ll)) and ll >= prev_ll:
             prev_ll = ll
             break
         prev_ll = ll
@@ -153,8 +153,7 @@ def _aft_objective_grads(w, log_k, X1, t, event, ridge):
     return obj, gw, g_log_k
 
 
-def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None,
-                    lr=0.05, max_steps=5000, grad_tol=1e-6):
+def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None, max_steps=5000):
     """Fit scale = softplus([1;x]·w), shape = exp(log_k) by Adam ascent
     on the censored log-likelihood with a ridge penalty on w[1:]."""
     X = np.asarray(X, dtype=float)
@@ -173,9 +172,9 @@ def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None,
         if fixed_shape is not None:
             grads["log_k"][:] = 0.0
         gnorm = np.sqrt(sum(float(g @ g) for g in grads.values()))
-        if gnorm < grad_tol:
+        if gnorm < 1e-6:
             break
-        adam_step(params, grads, state, lr)
+        adam_step(params, grads, state, lr=0.05)
     return WeibullAftModel(
         params["w"].copy(), float(np.exp(params["log_k"][0])), ridge
     )

@@ -51,7 +51,6 @@ CONFIG_DEFAULTS = {
     "learning_rate": "1e-3",
     "epochs": "1000",
     "pretrain_epochs": "0",
-    "mc_samples": "1",
     "recon_loss": "mse",
     "survival_weight": "1.0",
     "seed": "42",
@@ -65,8 +64,11 @@ CONFIG_DEFAULTS = {
     "cov_mode": "full",
     "mean_survival": "365.0",
     "test_fraction": "0.3",
-    "stratify_by_time": "false",
 }
+
+# Longest string a checkpoint holds (its length is stored as a u16), so
+# also the longest run-config value, which train echoes into the file.
+MAX_STR_BYTES = 0xFFFF
 
 
 def parse_config(path):
@@ -88,6 +90,9 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if len(value.encode("utf-8")) > MAX_STR_BYTES:
+            raise ConfigError(f"{path}:{lineno}: value of {key!r} is longer than "
+                              f"{MAX_STR_BYTES} bytes")
         values[key] = value
         seen.add(key)
     for key in CONFIG_DEFAULTS:
@@ -98,15 +103,10 @@ def parse_config(path):
 
 
 def _value(values, key, kind):
-    """One run-config value: kind is bool, tuple (of ints) or a type that
-    parses the text. A bad value is a ConfigError."""
+    """One run-config value: kind is tuple (of ints) or a type that parses
+    the text. A bad value is a ConfigError."""
     text = values[key]
     try:
-        if kind is bool:
-            flag = text.strip().lower()
-            if flag not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
-                raise ValueError(f"{key}: expected a boolean, got {text!r}")
-            return flag in ("true", "1", "yes", "on")
         if kind is tuple:
             return tuple(int(v) for v in text.split(",") if v.strip())
         return kind(text)
@@ -114,18 +114,17 @@ def _value(values, key, kind):
         raise ConfigError(f"bad configuration value: {exc}") from None
 
 
-def _from_config(cls, values, **given):
+def _from_config(cls, values):
     """A validated cls whose fields are the run-config values of the same
-    name, each parsed like the field's default; given values override."""
-    config = cls(**{**{f.name: _value(values, f.name, type(f.default))
-                       for f in fields(cls) if f.name in values}, **given})
+    name, each parsed like the field's default."""
+    config = cls(**{f.name: _value(values, f.name, type(f.default))
+                    for f in fields(cls) if f.name in values})
     config.validate()
     return config
 
 
-def train_config_from(values, seed_override=None):
-    return _from_config(TrainConfig, values,
-                        **({} if seed_override is None else {"seed": seed_override}))
+def train_config_from(values):
+    return _from_config(TrainConfig, values)
 
 
 # --- checkpoint container ------------------------------------------------
@@ -144,6 +143,8 @@ def _read_exact(f, n, path, what):
 
 def _write_str(f, s):
     data = s.encode("utf-8")
+    if len(data) > MAX_STR_BYTES:
+        raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
     f.write(struct.pack("<H", len(data)))
     f.write(data)
 
@@ -213,6 +214,9 @@ def load_checkpoint(path):
         for _ in range(_read_u32(f, path, "tensor count")):
             name = _read_str(f, path)
             (rank,) = struct.unpack("<B", _read_exact(f, 1, path, "tensor rank"))
+            if rank > 2:  # no stored tensor has more axes
+                raise FormatError(f"{path}: tensor {name!r} has rank {rank} at byte "
+                                  f"{f.tell() - 1}, expected at most 2")
             shape = [_read_u32(f, path, f"tensor {name!r} shape") for _ in range(rank)]
             count = math.prod(shape)
             payload = _read_exact(f, 8 * count, path, f"tensor {name!r}")
@@ -237,9 +241,14 @@ def load_checkpoint(path):
 
 def _check_entries(path, tensors, meta):
     """FormatError unless each net's activations are nnet's rule for its
-    depth, the stats fit the encoder's D inputs, the two scalars hold one
-    value, all values are finite and the Weibull shape, time scale and
-    feature scales are positive. ModelParams checks the model's shapes."""
+    depth, the feature kind is real or binary, the stats fit the encoder's
+    D inputs, the two scalars hold one value, all values are finite and
+    the Weibull shape, time scale and feature scales are positive.
+    ModelParams checks the model's shapes."""
+    kind = meta.get("stats.feature_kind", "real")
+    if kind not in ("real", "binary"):
+        raise FormatError(f"{path}: entry 'stats.feature_kind' is {kind!r}, "
+                          f"expected 'real' or 'binary'")
     d = (np.shape(tensors["enc.W0"]) + (-1,))[0]
     expected = {"stats.feature_mean": (d,), "stats.feature_std": (d,)}
     for prefix in ("enc", "dec"):
@@ -282,8 +291,7 @@ def cmd_simulate(kind, config_path, out_dir, seed_override=None):
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     train, test = train_test_split(dataset, _value(values, "test_fraction", float),
-                                   gen_config.seed,
-                                   stratify_by_time=_value(values, "stratify_by_time", bool))
+                                   gen_config.seed)
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     with open(os.path.join(out_dir, "manifest"), "w") as f:
@@ -294,9 +302,9 @@ def cmd_simulate(kind, config_path, out_dir, seed_override=None):
 
 def cmd_train(data_path, config_path, out_path, seed_override=None):
     values = parse_config(config_path)
-    config = train_config_from(values, seed_override)
     if seed_override is not None:
         values["seed"] = str(seed_override)
+    config = train_config_from(values)
     feature_kind = "binary" if config.recon_loss == "bce" else "real"
     dataset = load_csv(data_path, feature_kind=feature_kind)
     dataset, stats = preprocess(dataset)
@@ -438,6 +446,9 @@ def main(argv=None):
             cmd_km_export(args.predictions, args.data, args.out)
     except (SurvmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -193,13 +193,13 @@ def gen_synthetic(config):
     )
 
 
-def make_surrogate_digit_features(n, seed, noise_std=0.1):
-    """Stand-in for MNIST images: one-hot digit labels plus Gaussian noise."""
+def make_surrogate_digit_features(n, seed):
+    """Stand-in for MNIST images: one-hot digit labels plus N(0, 0.1^2) noise."""
     if n < 1:
         raise ConfigError(f"num_samples must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 10, size=n)
-    features = np.eye(10)[digits] + noise_std * rng.standard_normal((n, 10))
+    features = np.eye(10)[digits] + 0.1 * rng.standard_normal((n, 10))
     return features, digits
 
 
@@ -370,8 +370,8 @@ def inverse_time_transform(times, stats):
     return (np.asarray(times, dtype=float) - TIME_OFFSET) * stats.max_time
 
 
-def train_test_split(dataset, test_fraction, seed, stratify_by_time=False):
-    """Seeded shuffle split; optional stratification by time quartiles."""
+def train_test_split(dataset, test_fraction, seed):
+    """Seeded shuffle split."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     n = len(dataset)
@@ -379,21 +379,7 @@ def train_test_split(dataset, test_fraction, seed, stratify_by_time=False):
     if n_test < 1 or n_test >= n:
         raise ConfigError(f"degenerate split sizes for n={n}")
     rng = np.random.default_rng(seed)
-    if stratify_by_time:
-        quartiles = np.quantile(dataset.times, [0.25, 0.5, 0.75])
-        bins = np.searchsorted(quartiles, dataset.times)
-        test_idx = []
-        for b in range(4):
-            members = np.flatnonzero(bins == b)
-            rng.shuffle(members)
-            take = int(round(len(members) * test_fraction))
-            test_idx.extend(members[:take])
-        test_idx = np.sort(np.asarray(test_idx, dtype=int))
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        train_idx = np.flatnonzero(mask)
-    else:
-        order = rng.permutation(n)
-        test_idx = np.sort(order[:n_test])
-        train_idx = np.sort(order[n_test:])
+    order = rng.permutation(n)
+    test_idx = np.sort(order[:n_test])
+    train_idx = np.sort(order[n_test:])
     return dataset.subset(train_idx), dataset.subset(test_idx)

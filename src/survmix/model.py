@@ -2,9 +2,10 @@
 
 A VAE whose latent space carries a Gaussian-mixture prior, with one
 linear Weibull survival head per mixture component. Training maximizes a
-Monte Carlo estimate of the evidence lower bound; component
-responsibilities are recomputed from the current parameters every step
-and treated as fixed weights inside that step's gradient.
+Monte Carlo estimate of the evidence lower bound from one draw of z per
+row and step; component responsibilities are recomputed from the
+current parameters every step and treated as fixed weights inside that
+step's gradient.
 
 The objective decomposes into five named terms: reconstruction, survival,
 clustering, prior, and variational entropy. ``elbo_grads`` is the one
@@ -71,7 +72,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 1000
     pretrain_epochs: int = 0
-    mc_samples: int = 1
     recon_loss: str = "mse"  # "mse" | "bce"
     survival_weight: float = 1.0  # 0 disables the survival term (unsupervised ablation)
     seed: int = 42
@@ -81,8 +81,8 @@ class TrainConfig:
     def validate(self):
         if self.latent_dim < 1 or self.num_clusters < 1:
             raise ConfigError("latent_dim and num_clusters must be >= 1")
-        if self.mc_samples < 1 or self.batch_size < 1:
-            raise ConfigError("mc_samples and batch_size must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if min(self.epochs, self.pretrain_epochs) < 0:
             raise ConfigError("epochs and pretrain_epochs must be >= 0")
         if min((*self.enc_hidden, *self.dec_hidden), default=1) < 1:
@@ -197,12 +197,12 @@ def encode(params, X):
     return mu, log_var
 
 
-def reparameterize(mu, log_var, rng, n_samples=1):
-    """Draw z = mu + sigma * eps; returns (z, eps) with shape (L, N, J)."""
+def reparameterize(mu, log_var, rng):
+    """Draw z = mu + sigma * eps; returns (z, eps) with shape (N, J)."""
     mu = np.asarray(mu, dtype=float)
     log_var = np.asarray(log_var, dtype=float)
-    eps = rng.standard_normal((n_samples, *mu.shape))
-    z = mu[None] + np.exp(0.5 * log_var)[None] * eps
+    eps = rng.standard_normal(mu.shape)
+    z = mu + np.exp(0.5 * log_var) * eps
     return z, eps
 
 
@@ -308,73 +308,70 @@ def _recon_log_lik(dec_out, X, recon_loss):
 def elbo_grads(params, X, t, event, eps, config, resp=None):
     """The objective's one forward and backward pass: (ElboTerms, grads).
 
-    eps (L, B, J) is the reparameterization noise. With t and event the
-    objective is the ELBO and grads covers every trainable parameter; the
-    responsibilities are treated as constants, recomputed from the
-    current parameters unless resp (n = L*B rows) freezes them. With
+    eps (B, J) is the reparameterization noise, one draw per row. With t
+    and event the objective is the ELBO and grads covers every trainable
+    parameter; the responsibilities are treated as constants, recomputed
+    from the current parameters unless resp (B, K) freezes them. With
     t=None it is the autoencoder objective of pretraining: reconstruction
     only, with encoder and decoder gradients.
     """
-    B, L, j = X.shape[0], eps.shape[0], params.latent_dim
-    n = L * B
+    B, j = X.shape[0], params.latent_dim
     enc_out, enc_stack = net_forward(params.encoder, X)
     mu = enc_out[:, :j]
     log_var_raw = enc_out[:, j:]
     log_var = np.clip(log_var_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * log_var)
-    Z = (mu[None] + sigma[None] * eps).reshape(n, j)
+    Z = mu + sigma * eps
     dec_out, dec_stack = net_forward(params.decoder, Z)
-    recon_ll, recon_grad = _recon_log_lik(dec_out, np.tile(X, (L, 1)), config.recon_loss)
-    terms = ElboTerms(float(recon_ll.sum() / n), 0.0, 0.0, 0.0, 0.0)
+    recon_ll, recon_grad = _recon_log_lik(dec_out, X, config.recon_loss)
+    terms = ElboTerms(float(recon_ll.sum() / B), 0.0, 0.0, 0.0, 0.0)
     grads = {}
 
     # Decoder, via the reconstruction term.
-    dec_w, dec_b, dZ = net_backward(params.decoder, dec_stack, recon_grad / n)
+    dec_w, dec_b, dZ = net_backward(params.decoder, dec_stack, recon_grad / B)
     for i in range(len(dec_w)):
         grads[f"dec.W{i}"] = dec_w[i]
         grads[f"dec.b{i}"] = dec_b[i]
 
     if t is not None:
         w_surv = config.survival_weight
-        s = _latent_scores(params, Z, np.tile(t, L), np.tile(event, L), w_surv)
+        s = _latent_scores(params, Z, t, event, w_surv)
         if resp is None:
             resp = _normalize_log_posterior(s.log_joint)
-        terms.survival = float(w_surv * (resp * s.log_pt).sum() / n)
-        terms.clustering = float((resp * s.log_pz).sum() / n)
-        terms.prior = float((resp * s.log_pi[None, :]).sum() / n)
+        terms.survival = float(w_surv * (resp * s.log_pt).sum() / B)
+        terms.clustering = float((resp * s.log_pz).sum() / B)
+        terms.prior = float((resp * s.log_pi[None, :]).sum() / B)
         gauss_ent = 0.5 * np.sum(np.log(2.0 * np.pi) + 1.0 + log_var) / B
         with np.errstate(divide="ignore", invalid="ignore"):
-            cat_ent = -np.where(resp > 0.0, resp * np.log(resp), 0.0).sum() / n
+            cat_ent = -np.where(resp > 0.0, resp * np.log(resp), 0.0).sum() / B
         terms.entropy = float(gauss_ent + cat_ent)
 
         # Survival heads, through the floored softplus scales.
         active = (s.scale > SCALE_FLOOR).astype(float)
-        dpre = w_surv * resp * s.dscale * softplus_grad(s.scale_pre) * active / n
+        dpre = w_surv * resp * s.dscale * softplus_grad(s.scale_pre) * active / B
         grads["surv.betas"] = np.concatenate(
             [dpre.sum(axis=0)[:, None], dpre.T @ Z], axis=1
         )
         dZ = dZ + dpre @ params.betas[:, 1:]
 
         # Mixture parameters, via clustering and prior terms.
-        diff = Z[:, None, :] - params.means[None]  # (n, K, J)
+        diff = Z[:, None, :] - params.means[None]  # (B, K, J)
         w = resp[:, :, None] / s.var[None]
-        grads["mix.means"] = (w * diff).sum(axis=0) / n
+        grads["mix.means"] = (w * diff).sum(axis=0) / B
         grads["mix.log_vars"] = (
             resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
-        ).sum(axis=0) / n
+        ).sum(axis=0) / B
         pi = np.exp(s.log_pi)
-        grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / n
-        dZ = dZ - (w * diff).sum(axis=1) / n
+        grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / B
+        dZ = dZ - (w * diff).sum(axis=1) / B
 
     # Reparameterization: z = mu + sigma * eps.
-    dZ = dZ.reshape(L, B, j)
-    dmu = dZ.sum(axis=0)
-    dlogvar = (dZ * eps).sum(axis=0) * 0.5 * sigma
+    dlogvar = dZ * eps * 0.5 * sigma
     if t is not None:
         # Entropy term contributes 1/(2B) per log-variance coordinate.
         dlogvar = dlogvar + 0.5 / B
     clamp_mask = (log_var_raw > LOGVAR_MIN) & (log_var_raw < LOGVAR_MAX)
-    upstream_enc = np.concatenate([dmu, dlogvar * clamp_mask], axis=1)
+    upstream_enc = np.concatenate([dZ, dlogvar * clamp_mask], axis=1)
     enc_w, enc_b, _ = net_backward(params.encoder, enc_stack, upstream_enc, input_grad=False)
     for i in range(len(enc_w)):
         grads[f"enc.W{i}"] = enc_w[i]
@@ -403,7 +400,7 @@ def _train(params, names, X, t, event, epochs, config, rng, callback=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for bstart in range(0, len(X), config.batch_size):
                 idx = order[bstart : bstart + config.batch_size]
-                eps = rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
+                eps = rng.standard_normal((len(idx), params.latent_dim))
                 batch = (X[idx], None, None) if t is None else (X[idx], t[idx], event[idx])
                 try:
                     terms, grads = elbo_grads(params, *batch, eps, config)

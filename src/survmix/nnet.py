@@ -147,7 +147,7 @@ class AdamState:
     scratch: np.ndarray | None = None  # (2, block) work space
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One Adam update (minimization), in place on the parameter dict.
 
     Per element this is m = beta1*m + (1-beta1)*g, v = beta2*v +
@@ -158,6 +158,7 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """
     state.step += 1
     t = state.step
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
     block = min(ADAM_BLOCK, max([1, *(np.size(p) for p in params.values())]))

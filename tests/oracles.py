@@ -193,7 +193,7 @@ def fit_brute(data, config):
         order = rng.permutation(n)
         for start in range(0, n, bs):
             idx = order[start : start + bs]
-            yield idx, rng.standard_normal((config.mc_samples, len(idx), params.latent_dim))
+            yield idx, rng.standard_normal((len(idx), params.latent_dim))
 
     if config.pretrain_epochs > 0:
         net = {k: v for k, v in params.tensors.items() if k.startswith(("enc.", "dec."))}

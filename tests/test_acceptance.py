@@ -223,8 +223,8 @@ def test_criterion_05_gradient_finite_differences():
         t = rng.uniform(0.1, 1.0, 4)
         event = rng.integers(0, 2, 4).astype(float)
         mu, log_var = encode(params, X)
-        _, eps = reparameterize(mu, log_var, rng, 1)
-        Z = (mu[None] + np.exp(0.5 * log_var)[None] * eps).reshape(-1, 3)
+        _, eps = reparameterize(mu, log_var, rng)
+        Z = mu + np.exp(0.5 * log_var) * eps
         resp = cluster_posterior(params, Z, t, event)
         _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
         fd = finite_diff_grad(

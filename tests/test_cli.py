@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import struct
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survmix.cli import (
     CHECKPOINT_MAGIC,
@@ -50,9 +54,11 @@ class TestConfigParsing:
         assert values["latent_dim"] == "16"  # default
 
     def test_unknown_key_reports_line(self, tmp_path):
-        p = write_config(tmp_path, "epochs = 2\nbogus_key = 1\n")
-        with pytest.raises(ConfigError, match=":2"):
-            parse_config(p)
+        # removed keys are unknown keys like any other
+        for line in ("bogus_key = 1", "mc_samples = 1", "stratify_by_time = false"):
+            p = write_config(tmp_path, f"epochs = 2\n{line}\n")
+            with pytest.raises(ConfigError, match=":2: unknown configuration key"):
+                parse_config(p)
 
     def test_missing_equals_sign(self, tmp_path):
         p = write_config(tmp_path, "epochs 2\n")
@@ -70,7 +76,8 @@ class TestConfigParsing:
         assert config.latent_dim == 3
         assert config.enc_hidden == (16,)
         assert config.seed == 5
-        assert train_config_from(values, seed_override=9).seed == 9
+        values["seed"] = "9"  # as --seed 9 does
+        assert train_config_from(values).seed == 9
 
     def test_bad_value_type(self, tmp_path):
         values = parse_config(write_config(tmp_path, "epochs = three\n"))
@@ -174,10 +181,17 @@ class TestCheckpoint:
         # survmix builds relu hidden layers and a linear output only
         "wrong_activation_order": (b"relu,identity", b"identity,relu", "identity,relu"),
         "non_utf8_string": (b"arch.enc_acts", b"arch.enc_act\xff", "UTF-8"),
+        # preprocess would treat any kind but real as binary and skip standardising
+        "unknown_feature_kind": (b"\x04\x00real", b"\x04\x00rexl",
+                                 "entry 'stats.feature_kind' is 'rexl'"),
+        # rank 65 with a zero dim: an empty payload numpy cannot reshape
+        "rank_above_two": (b"mix.logits\x01" + struct.pack("<I", 2),
+                           b"mix.logits\x41" + struct.pack("<I", 0),
+                           "tensor 'mix.logits' has rank 65 at byte"),
         # the last tensor's rank, dim and 8-byte payload become dims
-        # 65536 x 65536 x 1: a 32 GiB tensor that must not be read
+        # 65536 x 65536 and 4 payload bytes: a 32 GiB tensor that must not be read
         "absurd_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
-                        b"surv.shape\x03" + struct.pack("<3I", 65536, 65536, 1),
+                        b"surv.shape\x02" + struct.pack("<3I", 65536, 65536, 1),
                         "truncated tensor 'surv.shape'"),
     }
     # Well-formed containers whose tensors do not fit together (the model
@@ -370,8 +384,7 @@ class TestCliErrors:
         ("synthetic", "num_samples = abc\n"),
         ("survmnist", "num_samples = 2.5\n"),
         ("survmnist", "num_samples = 200\ntest_fraction = x\n"),
-        ("survmnist", "num_samples = 200\nstratify_by_time = maybe\n"),
-    ], ids=["synthetic_int", "survmnist_int", "float", "bool"])
+    ], ids=["synthetic_int", "survmnist_int", "float"])
     def test_bad_simulate_value_exits_one(self, tmp_path, capsys, kind, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -382,7 +395,7 @@ class TestCliErrors:
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error: bad configuration value")
 
-    @pytest.mark.parametrize("command, line, key", [
+    @pytest.mark.parametrize("command, line, word", [
         ("synthetic", "weibull_shape = -1", "weibull_shape"),
         ("synthetic", "weibull_shape = nan", "weibull_shape"),
         ("survmnist", "mean_survival = 0", "mean_survival"),
@@ -404,10 +417,17 @@ class TestCliErrors:
         ("train", "seed = -1", "seed"),
         ("synthetic", "--seed -3", "seed"),
         ("train", "--seed -3", "seed"),
+        # longer than a checkpoint string holds: rejected before training
+        pytest.param("train", "learning_rate = 0.001" + "0" * 70_000, "learning_rate",
+                     id="train-overlong-learning_rate"),
+        # sizes no 64-bit address space holds, so the allocation fails at once
+        ("synthetic", "num_samples = 100000000000000000", "out of memory"),
+        ("survmnist", "num_samples = 100000000000000000", "out of memory"),
     ])
-    def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, key):
+    def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, word):
         # train gets real data, so a value validation lets through trains and exits 0;
-        # a line starting with -- is given as command-line flags instead
+        # a line starting with -- is given as command-line flags instead. The
+        # one error line names word, and train leaves no checkpoint.
         flags = line.split() if line.startswith("--") else []
         cfg = write_config(tmp_path, FAST_TRAIN + ("" if flags else line + "\n"))
         if command == "train":
@@ -420,7 +440,8 @@ class TestCliErrors:
         errors = [msg for msg in capsys.readouterr().err.splitlines()
                   if not msg.startswith("notice:")]
         assert code == 1
-        assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
+        assert len(errors) == 1 and errors[0].startswith("error:") and word in errors[0], errors
+        assert not (tmp_path / "m.ckpt").exists()
 
     # Checkpoints that load but whose values overflow in prediction, each
     # (tensor, index, value, message): with no message, predict exits 0
@@ -454,6 +475,25 @@ class TestCliErrors:
         else:
             assert code == 1
             assert err == f"error: {ckpt}: {message}\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_flipped_checkpoint_bytes_exit_cleanly(self, pipeline, data):
+        # 1-3 bytes of a trained checkpoint changed: predict either works
+        # silently or prints one error line, and never raises
+        blob = bytearray(Path(pipeline["ckpt"]).read_bytes())
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        ckpt = pipeline["root"] / "flipped.ckpt"
+        ckpt.write_bytes(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["predict", "--checkpoint", str(ckpt),
+                         "--data", os.path.join(pipeline["data"], "test.csv"),
+                         "--out", str(pipeline["root"] / "flipped.csv")])
+        lines = err.getvalue().splitlines()
+        assert (code == 0 and lines == []) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("error:")), (code, lines)
 
     def test_diverging_train_prints_one_error_line(self, pipeline, tmp_path):
         # a valid config whose first step overflows the parameters; run as

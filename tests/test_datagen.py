@@ -345,13 +345,6 @@ class TestSplit:
         np.testing.assert_array_equal(a_train.times, b_train.times)
         np.testing.assert_array_equal(a_test.times, b_test.times)
 
-    def test_stratified_split_balances_time_quartiles(self):
-        data = small_synth(seed=11)
-        train, test = train_test_split(data, 0.25, seed=2, stratify_by_time=True)
-        quartiles = np.quantile(data.times, [0.25, 0.5, 0.75])
-        test_bins = np.bincount(np.searchsorted(quartiles, test.times), minlength=4)
-        assert test_bins.min() >= 0.15 * len(test)
-
     def test_degenerate_fraction_rejected(self):
         data = small_synth(seed=12, n=10)
         with pytest.raises(ConfigError):

@@ -69,16 +69,16 @@ class TestEncodeReparam:
         rng = np.random.default_rng(2)
         mu = rng.standard_normal((4, 3))
         log_var = rng.uniform(-1, 1, (4, 3))
-        z, eps = reparameterize(mu, log_var, np.random.default_rng(0), n_samples=2)
-        assert z.shape == (2, 4, 3)
+        z, eps = reparameterize(mu, log_var, np.random.default_rng(0))
+        assert z.shape == (4, 3)
         np.testing.assert_allclose(
-            (z - mu[None]) / np.exp(0.5 * log_var)[None], eps, rtol=1e-12
+            (z - mu) / np.exp(0.5 * log_var), eps, rtol=1e-12
         )
 
     def test_zero_variance_limit(self):
         mu = np.ones((2, 3))
         z, _ = reparameterize(mu, np.full((2, 3), -700.0), np.random.default_rng(0))
-        np.testing.assert_allclose(z[0], mu, atol=1e-100)
+        np.testing.assert_allclose(z, mu, atol=1e-100)
 
 
 class TestClusterPosterior:
@@ -134,7 +134,7 @@ class TestElbo:
         rng = np.random.default_rng(5)
         params = init_params(5, tiny_config(), rng)
         X, t, event = tiny_batch(rng)
-        terms, _ = elbo_grads(params, X, t, event, rng.standard_normal((1, 6, 3)),
+        terms, _ = elbo_grads(params, X, t, event, rng.standard_normal((6, 3)),
                               tiny_config())
         terms.check_finite()
         total = (terms.reconstruction + terms.survival + terms.clustering
@@ -146,7 +146,7 @@ class TestElbo:
         config = tiny_config()
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
-        eps = rng.standard_normal((1, 6, 3))
+        eps = rng.standard_normal((6, 3))
         a = elbo_grads(params, X, t, event, eps, config)[0]
         b = elbo_grads(params, X, t, event, eps, config)[0]
         assert a.total == b.total
@@ -156,7 +156,7 @@ class TestElbo:
         config = tiny_config(survival_weight=0.0)
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
-        eps = rng.standard_normal((1, 6, 3))
+        eps = rng.standard_normal((6, 3))
         terms = elbo_grads(params, X, t, event, eps, config)[0]
         assert terms.survival == 0.0
 
@@ -178,7 +178,7 @@ class TestElbo:
         # closed form 1: entropy term as implemented equals
         # 0.5 * sum(log 2 pi e + log var) / B  (single component => no
         # categorical entropy)
-        eps = rng.standard_normal((1, B, j))
+        eps = rng.standard_normal((B, j))
         terms = elbo_grads(params, X, t, event, eps, config)[0]
         ent_closed = 0.5 * np.sum(np.log(2 * np.pi) + 1.0 + log_var) / B
         assert terms.entropy == pytest.approx(ent_closed, rel=1e-12, abs=1e-12)
@@ -189,8 +189,10 @@ class TestElbo:
         kl = 0.5 * np.sum(mu**2 + var - 1.0 - log_var) / B
         expected_clustering = -kl - ent_closed + 0.0  # rearranged identity
         # Monte Carlo convergence of the sampled clustering term
+        # 4000 draws per row: the batch tiled 4000 times, one draw per copy
         big_eps = np.random.default_rng(0).standard_normal((4000, B, j))
-        mc = elbo_grads(params, X, t, event, big_eps, config)[0]
+        mc = elbo_grads(params, np.tile(X, (4000, 1)), np.tile(t, 4000), np.tile(event, 4000),
+                        big_eps.reshape(4000 * B, j), config)[0]
         z = mu[None] + np.exp(0.5 * log_var)[None] * big_eps
         per_sample = -0.5 * (z**2 + np.log(2 * np.pi)).sum(axis=2).mean(axis=1)
         se = per_sample.std(ddof=1) / np.sqrt(len(per_sample))
@@ -221,8 +223,8 @@ class TestGradients:
             # relu preactivation on its kink and break finite differences
             X = 1.0 / (1.0 + np.exp(-X))
         mu, log_var = encode(params, X)
-        _, eps = reparameterize(mu, log_var, rng, 1)
-        Z = (mu[None] + np.exp(0.5 * log_var)[None] * eps).reshape(-1, 3)
+        _, eps = reparameterize(mu, log_var, rng)
+        Z = mu + np.exp(0.5 * log_var) * eps
         resp = cluster_posterior(params, Z, t, event)
         if not with_t:
             t = event = resp = None
@@ -250,8 +252,8 @@ class TestGradients:
             params = init_params(4, config, rng)
             X, t, event = tiny_batch(rng, n=4, d=4)
             mu, log_var = encode(params, X)
-            _, eps = reparameterize(mu, log_var, rng, 1)
-            Z = (mu[None] + np.exp(0.5 * log_var)[None] * eps).reshape(-1, 3)
+            _, eps = reparameterize(mu, log_var, rng)
+            Z = mu + np.exp(0.5 * log_var) * eps
             resp = cluster_posterior(params, Z, t, event)
             _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
             fd = finite_diff_grad(
