@@ -168,7 +168,7 @@ def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None, max_steps=5000):
         obj, gw, g_log_k = _aft_objective_grads(
             params["w"], params["log_k"][0], X1, t, event, ridge
         )
-        grads = {"w": -gw, "log_k": np.array([-g_log_k])}
+        grads = {"w": gw, "log_k": np.array([g_log_k])}
         if fixed_shape is not None:
             grads["log_k"][:] = 0.0
         gnorm = np.sqrt(sum(float(g @ g) for g in grads.values()))

@@ -8,6 +8,7 @@ checkpoints are a small binary container of named float64 tensors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import struct
@@ -175,21 +176,29 @@ def save_checkpoint(params, stats, config_values, path):
         meta[f"arch.{prefix}_acts"] = ",".join(layer_activations(len(net.weights)))
     meta["stats.feature_kind"] = stats.feature_kind
 
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        for key in sorted(meta):
-            _write_str(f, key)
-            _write_str(f, str(meta[key]))
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=float))
-            _write_str(f, name)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(arr.astype("<f8").tobytes())
+    # written beside the target, then renamed: a failed save leaves it as it was
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(meta)))
+            for key in sorted(meta):
+                _write_str(f, key)
+                _write_str(f, str(meta[key]))
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=float))
+                _write_str(f, name)
+                f.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<I", dim))
+                f.write(arr.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

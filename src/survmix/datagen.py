@@ -172,7 +172,8 @@ def gen_synthetic(config):
     b2 = rng.standard_normal(D)
     hidden = np.maximum(z @ W0.T + b0, 0.0)
     hidden = np.maximum(hidden @ W1.T + b1, 0.0)
-    x = hidden @ W2.T + b2
+    x = hidden @ W2.T
+    x += b2
 
     betas = rng.uniform(-10.0, 10.0, size=(K, J + 1))
     lam = softplus((z * betas[c, 1:]).sum(axis=1) + betas[c, 0])
@@ -358,7 +359,8 @@ def preprocess(dataset, stats=None):
         )
     times = TIME_OFFSET + dataset.times / stats.max_time
     if dataset.feature_kind == "real":
-        features = (dataset.features - stats.feature_mean) / stats.feature_std
+        features = dataset.features - stats.feature_mean
+        features /= stats.feature_std
     else:
         features = dataset.features.copy()
     out = replace(dataset, features=features, times=times, processed=True)

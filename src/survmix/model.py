@@ -24,9 +24,9 @@ them into one contiguous float64 vector, ``ModelParams.vector``, in
 encoder, decoder, survival heads, mixture order. The networks and the
 mixture and survival arrays are read-only views of it, so the trainable
 parameters are the vector (the encoder and decoder one prefix of it,
-which pretraining updates). Each step gathers the negated gradients into
-one buffer laid out the same way, and ``adam_step`` updates the whole
-prefix in cache-sized blocks.
+which pretraining updates). Each step ``elbo_grads`` writes the
+gradients in place into one buffer laid out the same way, and the ascent
+``adam_step`` updates the whole prefix from it in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -122,12 +122,8 @@ class ModelParams:
     def __post_init__(self):
         self.vector, self.tensors = pack(_layout(self.tensors))
 
-    def _net(self, prefix):
-        arrays = tuple(a for name, a in self.tensors.items() if name.startswith(f"{prefix}."))
-        return DenseNet(arrays[0::2], arrays[1::2])  # laid out W0, b0, W1, b1, ...
-
-    encoder = property(lambda self: self._net("enc"))
-    decoder = property(lambda self: self._net("dec"))
+    encoder = property(lambda self: _dense_net(self.tensors, "enc"))
+    decoder = property(lambda self: _dense_net(self.tensors, "dec"))
     betas = property(lambda self: self.tensors["surv.betas"])  # (K, J+1); column 0 is the bias
     mixture_logits = property(lambda self: self.tensors["mix.logits"])  # (K,)
     means = property(lambda self: self.tensors["mix.means"])  # (K, J)
@@ -144,6 +140,12 @@ class ModelParams:
     @property
     def input_dim(self):
         return self.encoder.input_dim
+
+
+def _dense_net(tensors, prefix):
+    """A dict's prefix.* entries, laid out W0, b0, W1, b1, ..., as a DenseNet."""
+    arrays = tuple(a for name, a in tensors.items() if name.startswith(f"{prefix}."))
+    return DenseNet(arrays[0::2], arrays[1::2])
 
 
 def _layout(tensors):
@@ -305,33 +307,30 @@ def _recon_log_lik(dec_out, X, recon_loss):
     return ll, grad
 
 
-def elbo_grads(params, X, t, event, eps, config, resp=None):
+def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
     """The objective's one forward and backward pass: (ElboTerms, grads).
 
-    eps (B, J) is the reparameterization noise, one draw per row. With t
-    and event the objective is the ELBO and grads covers every trainable
-    parameter; the responsibilities are treated as constants, recomputed
-    from the current parameters unless resp (B, K) freezes them. With
-    t=None it is the autoencoder objective of pretraining: reconstruction
-    only, with encoder and decoder gradients.
+    eps (B, J) is the reparameterization noise, one draw per row. grads,
+    a name -> array dict laid out like params.tensors, receives the
+    gradients (to ascend) and is returned. With t and event the objective
+    is the ELBO over every entry; the responsibilities are treated as
+    constants, recomputed from the current parameters unless resp (B, K)
+    freezes them. With t=None it is the autoencoder objective of
+    pretraining: reconstruction only, over the encoder and decoder entries.
     """
     B, j = X.shape[0], params.latent_dim
-    enc_out, enc_stack = net_forward(params.encoder, X)
+    enc_out, enc_posts = net_forward(params.encoder, X)
     mu = enc_out[:, :j]
     log_var_raw = enc_out[:, j:]
     log_var = np.clip(log_var_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * log_var)
     Z = mu + sigma * eps
-    dec_out, dec_stack = net_forward(params.decoder, Z)
+    dec_out, dec_posts = net_forward(params.decoder, Z)
     recon_ll, recon_grad = _recon_log_lik(dec_out, X, config.recon_loss)
     terms = ElboTerms(float(recon_ll.sum() / B), 0.0, 0.0, 0.0, 0.0)
-    grads = {}
 
     # Decoder, via the reconstruction term.
-    dec_w, dec_b, dZ = net_backward(params.decoder, dec_stack, recon_grad / B)
-    for i in range(len(dec_w)):
-        grads[f"dec.W{i}"] = dec_w[i]
-        grads[f"dec.b{i}"] = dec_b[i]
+    dZ = net_backward(params.decoder, dec_posts, recon_grad / B, _dense_net(grads, "dec"))
 
     if t is not None:
         w_surv = config.survival_weight
@@ -349,20 +348,19 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
         # Survival heads, through the floored softplus scales.
         active = (s.scale > SCALE_FLOOR).astype(float)
         dpre = w_surv * resp * s.dscale * softplus_grad(s.scale_pre) * active / B
-        grads["surv.betas"] = np.concatenate(
-            [dpre.sum(axis=0)[:, None], dpre.T @ Z], axis=1
-        )
+        grads["surv.betas"][:, 0] = dpre.sum(axis=0)
+        grads["surv.betas"][:, 1:] = dpre.T @ Z
         dZ = dZ + dpre @ params.betas[:, 1:]
 
         # Mixture parameters, via clustering and prior terms.
         diff = Z[:, None, :] - params.means[None]  # (B, K, J)
         w = resp[:, :, None] / s.var[None]
-        grads["mix.means"] = (w * diff).sum(axis=0) / B
-        grads["mix.log_vars"] = (
+        grads["mix.means"][...] = (w * diff).sum(axis=0) / B
+        grads["mix.log_vars"][...] = (
             resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
         ).sum(axis=0) / B
         pi = np.exp(s.log_pi)
-        grads["mix.logits"] = (resp - pi[None, :]).sum(axis=0) / B
+        grads["mix.logits"][...] = (resp - pi[None, :]).sum(axis=0) / B
         dZ = dZ - (w * diff).sum(axis=1) / B
 
     # Reparameterization: z = mu + sigma * eps.
@@ -372,10 +370,8 @@ def elbo_grads(params, X, t, event, eps, config, resp=None):
         dlogvar = dlogvar + 0.5 / B
     clamp_mask = (log_var_raw > LOGVAR_MIN) & (log_var_raw < LOGVAR_MAX)
     upstream_enc = np.concatenate([dZ, dlogvar * clamp_mask], axis=1)
-    enc_w, enc_b, _ = net_backward(params.encoder, enc_stack, upstream_enc, input_grad=False)
-    for i in range(len(enc_w)):
-        grads[f"enc.W{i}"] = enc_w[i]
-        grads[f"enc.b{i}"] = enc_b[i]
+    net_backward(params.encoder, enc_posts, upstream_enc, _dense_net(grads, "enc"),
+                 input_grad=False)
     return terms, grads
 
 
@@ -384,7 +380,7 @@ def _train(params, names, X, t, event, epochs, config, rng, callback=None):
     params.tensors (so one prefix of params.vector); t=None ascends the
     pretraining objective. Returns the per-epoch mean batch objective.
 
-    Each step gathers the negated gradients into one buffer laid out like
+    Each step elbo_grads writes the gradients into one buffer laid out like
     the prefix; adam_step sees the prefix and the buffer as one entry each.
     Overflow warnings are silenced: a non-finite ELBO term, posterior or
     gradient raises TrainingError naming the phase, epoch and batch.
@@ -402,16 +398,16 @@ def _train(params, names, X, t, event, epochs, config, rng, callback=None):
                 idx = order[bstart : bstart + config.batch_size]
                 eps = rng.standard_normal((len(idx), params.latent_dim))
                 batch = (X[idx], None, None) if t is None else (X[idx], t[idx], event[idx])
+                stepping = False
                 try:
-                    terms, grads = elbo_grads(params, *batch, eps, config)
+                    terms, _ = elbo_grads(params, *batch, eps, config, grad_views)
                     terms.check_finite()
-                    for name, g in grad_views.items():
-                        np.negative(grads[name], out=g)
+                    stepping = True
                     adam_step({"vector": vector}, {"vector": grad}, state, config.learning_rate)
                 except (TrainingError, DomainError) as exc:
-                    # the buffer holds a non-finite value only if adam_step refused it
+                    # before adam_step the buffer may hold part of this step: name none
                     bad = [k for k, g in grad_views.items() if not np.isfinite(g).all()]
-                    reason = f"non-finite gradient for parameter {bad[0]!r}" if bad else exc
+                    reason = f"non-finite gradient for parameter {bad[0]!r}" if stepping else exc
                     phase = "pretraining " if t is None else ""
                     raise TrainingError(
                         f"{phase}epoch {epoch}, batch {bstart // config.batch_size}: {reason}"

@@ -2,20 +2,21 @@
 
 Networks are stacks of fully connected layers: relu on every hidden
 layer and a linear (identity) output, the one kind of MLP the model
-uses. The forward pass keeps every intermediate activation so the
-analytic backward pass can run without recomputation; it can skip the
-gradient with respect to the input when the caller discards it.
+uses. The forward pass keeps each layer's output after its relu (bias
+add and relu run in place on the GEMM result); the analytic backward
+pass reads the relu mask back from it, writes the parameter gradients
+into the caller's arrays and can skip the input gradient.
 
 A network only holds arrays; it owns no storage. ``pack`` copies a
 name->array dict into one contiguous float64 vector and ``views`` lays
 such a dict out over any vector of the same length (a gradient buffer,
 say), as reshaped views: ``model.ModelParams`` keeps every parameter in
 one such vector and builds its networks from views of it.
-``adam_step`` updates each entry in blocks of ``ADAM_BLOCK`` elements
-through two scratch buffers kept in ``AdamState``, so a whole parameter
-vector is updated in cache-sized pieces without temporaries, with the
-same floating-point operations in the same order as the textbook
-per-array update.
+``adam_step`` ascends, as its callers maximise. It updates each entry
+in blocks of ``ADAM_BLOCK`` elements through two scratch buffers kept in
+``AdamState``, so a whole parameter vector is updated in cache-sized
+pieces without temporaries, with the same floating-point operations in
+the same order as the textbook per-array update.
 
 All arrays are float64, batches are stored as rows.
 """
@@ -63,8 +64,8 @@ def init_dense_net(layer_sizes, rng):
 
 
 def net_forward(net, X):
-    """Forward pass; returns (output, stack) where the stack holds the
-    input and every layer's pre- and post-activation values."""
+    """Forward pass; returns (output, posts) where posts holds the input
+    and every layer's output (after its relu), depth + 1 arrays."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected 2-d batch, got shape {X.shape}")
@@ -72,46 +73,44 @@ def net_forward(net, X):
         raise ShapeError(
             f"input width {X.shape[1]} != network input width {net.input_dim}"
         )
-    post = X
-    pres, posts = [], [X]
+    posts = [X]
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        pre = post @ W
-        pre += b
-        post = pre if i == last else np.maximum(pre, 0.0)
-        pres.append(pre)
+        post = posts[-1] @ W
+        post += b
+        if i < last:
+            np.maximum(post, 0.0, out=post)
         posts.append(post)
-    return post, (pres, posts)
+    return posts[-1], posts
 
 
-def net_backward(net, stack, upstream, input_grad=True):
+def net_backward(net, posts, upstream, grads, input_grad=True):
     """Backward pass through a stored forward stack.
 
-    Returns (weight_grads, bias_grads, input_grad) with shapes mirroring
-    the parameters. upstream is dLoss/dOutput for the batch. With
-    input_grad=False the first layer's delta @ W.T is skipped and None is
-    returned in its place.
+    upstream is dLoss/dOutput for the batch; it is read, never written.
+    The parameter gradients are written into grads, a DenseNet of arrays
+    shaped like net's. Returns the gradient with respect to the input, or
+    None with input_grad=False, which skips the first layer's delta @ W.T.
     """
-    pres, posts = stack
     upstream = np.asarray(upstream, dtype=float)
-    if len(pres) != len(net.weights):
+    if len(posts) != len(net.weights) + 1:
         raise ShapeError("stack does not match network depth")
-    if upstream.shape != pres[-1].shape:
+    if upstream.shape != posts[-1].shape:
         raise ShapeError(
-            f"upstream shape {upstream.shape} != output shape {pres[-1].shape}"
+            f"upstream shape {upstream.shape} != output shape {posts[-1].shape}"
         )
-    weight_grads = [None] * len(net.weights)
-    bias_grads = [None] * len(net.weights)
     delta = upstream
     last = len(net.weights) - 1
     for i in reversed(range(last + 1)):
         if i < last:
-            delta = delta * (pres[i] > 0.0)  # relu's derivative
-        weight_grads[i] = posts[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
+            # relu's derivative: max(p, 0) > 0 exactly where p > 0; delta
+            # is a fresh GEMM result here, never upstream
+            delta *= posts[i + 1] > 0.0
+        np.matmul(posts[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0 or input_grad:
             delta = delta @ net.weights[i].T
-    return weight_grads, bias_grads, delta if input_grad else None
+    return delta if input_grad else None
 
 
 def views(vector, like):
@@ -148,10 +147,10 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """One Adam update (minimization), in place on the parameter dict.
+    """One Adam update (ascent), in place on the parameter dict.
 
     Per element this is m = beta1*m + (1-beta1)*g, v = beta2*v +
-    (1-beta2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps), evaluated in that
+    (1-beta2)*g*g, p += lr*m_hat / (sqrt(v_hat) + eps), evaluated in that
     order over blocks of at most ADAM_BLOCK elements. A non-finite
     gradient raises TrainingError naming its entry, before that entry is
     changed.
@@ -191,7 +190,7 @@ def adam_step(params, grads, state, lr):
             np.divide(ms, bc1, out=b)
             b *= lr
             b /= a
-            ps -= b
+            ps += b
         if not p.flags.c_contiguous:
             p[...] = flat_p.reshape(p.shape)
     return params, state

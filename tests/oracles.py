@@ -200,7 +200,8 @@ def fit_brute(data, config):
         state = {"m": {}, "v": {}, "step": 0}
         for _ in range(config.pretrain_epochs):
             for idx, eps in batches():
-                _, grads = elbo_grads(params, X[idx], None, None, eps, config)
+                _, grads = elbo_grads(params, X[idx], None, None, eps, config,
+                                      {k: np.zeros_like(v) for k, v in net.items()})
                 adam_brute(net, {k: -g for k, g in grads.items()}, state, lr)
         mu, _ = encode(params, X)
         gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
@@ -214,7 +215,8 @@ def fit_brute(data, config):
     for _ in range(config.epochs):
         values = []
         for idx, eps in batches():
-            terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config)
+            terms, grads = elbo_grads(params, X[idx], t[idx], event[idx], eps, config,
+                                      {k: np.zeros_like(v) for k, v in flat.items()})
             adam_brute(flat, {k: -grads[k] for k in flat}, state, lr)
             values.append(terms.total)
         trace.append(float(np.mean(values)))

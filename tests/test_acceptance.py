@@ -226,9 +226,12 @@ def test_criterion_05_gradient_finite_differences():
         _, eps = reparameterize(mu, log_var, rng)
         Z = mu + np.exp(0.5 * log_var) * eps
         resp = cluster_posterior(params, Z, t, event)
-        _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
+        _, grads = elbo_grads(params, X, t, event, eps, config,
+                              {k: np.zeros_like(a) for k, a in params.tensors.items()},
+                              resp=resp)
         fd = finite_diff_grad(
             lambda _: elbo_grads(params, X, t, event, eps, config,
+                                 {k: np.zeros_like(a) for k, a in params.tensors.items()},
                                  resp=resp)[0].total,
             params.tensors, eps=1e-5,
         )

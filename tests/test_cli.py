@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 from survmix.cli import (
     CHECKPOINT_MAGIC,
+    CONFIG_DEFAULTS,
+    _from_config,
     load_checkpoint,
     main,
     parse_config,
     save_checkpoint,
     train_config_from,
 )
-from survmix.datagen import PreprocessStats, load_csv
+from survmix.datagen import PreprocessStats, SurvMnistConfig, SyntheticConfig, load_csv
 from survmix.errors import ConfigError, FormatError, ShapeError
 from survmix import model
 from survmix.model import ModelParams, TrainConfig, init_params
@@ -90,6 +92,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{p}: not UTF-8"):
             parse_config(str(p))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_config_text_parses_or_is_config_error(self, tmp_path_factory, data):
+        # random lines, many of them "key = value" with a known key: every
+        # reader either returns or raises ConfigError, never anything else
+        value = st.one_of(
+            st.text(max_size=12),
+            st.sampled_from(["0", "-1", "1e309", "-inf", "nan", "1,2", ",", "3.5", "1_0",
+                             "full", "bce", "9" * 5000, "x" * (2**16)]),
+            st.integers().map(str), st.floats().map(repr),
+        )
+        line = st.one_of(st.text(max_size=30), st.tuples(
+            st.sampled_from(sorted(CONFIG_DEFAULTS)), st.sampled_from([" = ", "=", " =\t"]),
+            value).map("".join))
+        path = tmp_path_factory.getbasetemp() / "random.cfg"
+        path.write_text("\n".join(data.draw(st.lists(line, max_size=8))), encoding="utf-8")
+        try:
+            values = parse_config(str(path))
+        except ConfigError:
+            return
+        for build in (train_config_from, lambda v: _from_config(SyntheticConfig, v),
+                      lambda v: _from_config(SurvMnistConfig, v)):
+            with contextlib.suppress(ConfigError):
+                build(values)
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, num_clusters=2, meta=()):
@@ -146,6 +173,17 @@ class TestCheckpoint:
             a, b = model.predict(params, *args), model.predict(loaded, *args)
             for field in ("labels", "posterior", "latent", "median_time"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path):
+        # a save that fails part-way (a meta value too long to store)
+        # leaves the file it would replace untouched, and no other file
+        params, stats, _ = self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        good = path.read_bytes()
+        with pytest.raises(FormatError, match="cannot store a string of 70000 bytes"):
+            save_checkpoint(params, stats, {"epochs": "3", "note": "x" * 70_000}, str(path))
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"

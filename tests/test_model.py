@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from survmix.model import (
     reparameterize,
     weibull_scales,
 )
+from survmix.nnet import ADAM_BLOCK
 
 
 def tiny_config(**kwargs):
@@ -27,6 +30,13 @@ def tiny_config(**kwargs):
                 enc_hidden=(6,), dec_hidden=(6,), seed=0)
     base.update(kwargs)
     return TrainConfig(**base)
+
+
+def fresh_grads(params, with_t=True):
+    """A zeroed name -> array dict for elbo_grads to fill; without t only
+    the encoder and decoder have gradients."""
+    return {k: np.zeros_like(a) for k, a in params.tensors.items()
+            if with_t or k.startswith(("enc.", "dec."))}
 
 
 def tiny_batch(rng, n=6, d=5):
@@ -135,7 +145,7 @@ class TestElbo:
         params = init_params(5, tiny_config(), rng)
         X, t, event = tiny_batch(rng)
         terms, _ = elbo_grads(params, X, t, event, rng.standard_normal((6, 3)),
-                              tiny_config())
+                              tiny_config(), fresh_grads(params))
         terms.check_finite()
         total = (terms.reconstruction + terms.survival + terms.clustering
                  + terms.prior + terms.entropy)
@@ -147,8 +157,8 @@ class TestElbo:
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
         eps = rng.standard_normal((6, 3))
-        a = elbo_grads(params, X, t, event, eps, config)[0]
-        b = elbo_grads(params, X, t, event, eps, config)[0]
+        a = elbo_grads(params, X, t, event, eps, config, fresh_grads(params))[0]
+        b = elbo_grads(params, X, t, event, eps, config, fresh_grads(params))[0]
         assert a.total == b.total
 
     def test_survival_weight_zero_drops_survival_term(self):
@@ -157,7 +167,7 @@ class TestElbo:
         params = init_params(5, config, rng)
         X, t, event = tiny_batch(rng)
         eps = rng.standard_normal((6, 3))
-        terms = elbo_grads(params, X, t, event, eps, config)[0]
+        terms = elbo_grads(params, X, t, event, eps, config, fresh_grads(params))[0]
         assert terms.survival == 0.0
 
     def test_kl_consistency_at_single_component(self):
@@ -179,7 +189,7 @@ class TestElbo:
         # 0.5 * sum(log 2 pi e + log var) / B  (single component => no
         # categorical entropy)
         eps = rng.standard_normal((B, j))
-        terms = elbo_grads(params, X, t, event, eps, config)[0]
+        terms = elbo_grads(params, X, t, event, eps, config, fresh_grads(params))[0]
         ent_closed = 0.5 * np.sum(np.log(2 * np.pi) + 1.0 + log_var) / B
         assert terms.entropy == pytest.approx(ent_closed, rel=1e-12, abs=1e-12)
         assert terms.prior == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +202,7 @@ class TestElbo:
         # 4000 draws per row: the batch tiled 4000 times, one draw per copy
         big_eps = np.random.default_rng(0).standard_normal((4000, B, j))
         mc = elbo_grads(params, np.tile(X, (4000, 1)), np.tile(t, 4000), np.tile(event, 4000),
-                        big_eps.reshape(4000 * B, j), config)[0]
+                        big_eps.reshape(4000 * B, j), config, fresh_grads(params))[0]
         z = mu[None] + np.exp(0.5 * log_var)[None] * big_eps
         per_sample = -0.5 * (z**2 + np.log(2 * np.pi)).sum(axis=2).mean(axis=1)
         se = per_sample.std(ddof=1) / np.sqrt(len(per_sample))
@@ -228,10 +238,12 @@ class TestGradients:
         resp = cluster_posterior(params, Z, t, event)
         if not with_t:
             t = event = resp = None
-        _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
+        _, grads = elbo_grads(params, X, t, event, eps, config,
+                              fresh_grads(params, with_t), resp=resp)
 
         def objective(flat_params):
-            return elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total
+            return elbo_grads(params, X, t, event, eps, config,
+                              fresh_grads(params, with_t), resp=resp)[0].total
 
         fd = finite_diff_grad(objective, params.tensors, eps=1e-5)
         for name in fd:
@@ -255,9 +267,11 @@ class TestGradients:
             _, eps = reparameterize(mu, log_var, rng)
             Z = mu + np.exp(0.5 * log_var) * eps
             resp = cluster_posterior(params, Z, t, event)
-            _, grads = elbo_grads(params, X, t, event, eps, config, resp=resp)
+            _, grads = elbo_grads(params, X, t, event, eps, config, fresh_grads(params),
+                                  resp=resp)
             fd = finite_diff_grad(
-                lambda _: elbo_grads(params, X, t, event, eps, config, resp=resp)[0].total,
+                lambda _: elbo_grads(params, X, t, event, eps, config, fresh_grads(params),
+                                     resp=resp)[0].total,
                 params.tensors,
                 eps=1e-5,
             )
@@ -266,6 +280,29 @@ class TestGradients:
                 worst = max(worst, np.max(np.abs(g - fd[name])) / scale)
         assert worst < 1e-4
         assert time.time() - start < 30.0
+
+
+def test_train_step_allocates_no_parameter_sized_array():
+    # parameters (5.6 MB) dwarf the 4-row batch, so one step's memory is
+    # Adam's two moments and scratch, the gradient buffer, and what the
+    # step itself allocates; a fresh gradient dict or a negated copy of
+    # the gradients would be a whole parameter vector more
+    rng = np.random.default_rng(0)
+    config = tiny_config(latent_dim=2, batch_size=4, epochs=1,
+                         enc_hidden=(500, 500), dec_hidden=(500, 500))
+    X, t, event = tiny_batch(rng, n=4, d=200)
+    params = init_params(200, config, rng)
+    nbytes = params.vector.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model._train(params, params.tensors, X, t, event, 1, config, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = 3 * nbytes + 2 * ADAM_BLOCK * 8  # m, v, gradient buffer, scratch
+    assert peak - held < nbytes / 2, (peak, held, nbytes)
 
 
 class TestFitPredict:

@@ -26,6 +26,15 @@ def relu_then_identity_net(d):
     return DenseNet([np.eye(d), np.eye(d)], [np.zeros(d), np.zeros(d)])
 
 
+def backward(net, posts, upstream, input_grad=True):
+    """net_backward into NaN-filled arrays, so an entry it does not write
+    shows: (weight grads, bias grads, input grad)."""
+    grads = DenseNet([np.full_like(w, np.nan) for w in net.weights],
+                     [np.full_like(b, np.nan) for b in net.biases])
+    dx = net_backward(net, posts, upstream, grads, input_grad)
+    return grads.weights, grads.biases, dx
+
+
 class TestForward:
     def test_identity_layer(self):
         net = identity_layer_net(2)
@@ -34,10 +43,25 @@ class TestForward:
 
     def test_relu_layer(self):
         net = relu_then_identity_net(2)
-        out, (pres, posts) = net_forward(net, [[-1.0, 3.0]])
-        np.testing.assert_array_equal(pres[0], [[-1.0, 3.0]])
+        out, posts = net_forward(net, [[-1.0, 3.0]])
+        np.testing.assert_array_equal(posts[0], [[-1.0, 3.0]])  # the input
         np.testing.assert_array_equal(posts[1], [[0.0, 3.0]])
         np.testing.assert_array_equal(out, [[0.0, 3.0]])
+
+    def test_stack_is_input_and_each_layer_output(self):
+        # one array per layer (after its relu) plus the input: depth + 1
+        rng = np.random.default_rng(2)
+        net = init_dense_net([4, 5, 6, 3], rng)
+        X = rng.standard_normal((7, 4))
+        out, posts = net_forward(net, X)
+        assert len(posts) == len(net.weights) + 1 == 4
+        assert posts[0].tobytes() == X.tobytes() and out is posts[-1]
+        h = X
+        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+            h = h @ W + b
+            if i < 2:
+                h = np.maximum(h, 0.0)
+            assert posts[i + 1].tobytes() == h.tobytes(), i
 
     def test_output_layer_is_linear(self):
         net = relu_then_identity_net(2)
@@ -74,33 +98,33 @@ class TestBackward:
     def test_identity_layer_grads(self):
         net = identity_layer_net(2)
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        _, stack = net_forward(net, X)
-        wg, bg, dx = net_backward(net, stack, np.ones((2, 2)))
+        _, posts = net_forward(net, X)
+        wg, bg, dx = backward(net, posts, np.ones((2, 2)))
         np.testing.assert_array_equal(wg[0], X.T @ np.ones((2, 2)))
         np.testing.assert_array_equal(bg[0], [2.0, 2.0])
         np.testing.assert_array_equal(dx, np.ones((2, 2)))
 
     def test_relu_kills_negative_preactivation(self):
         net = relu_then_identity_net(1)
-        _, stack = net_forward(net, [[-2.0]])
-        wg, bg, dx = net_backward(net, stack, [[1.0]])
+        _, posts = net_forward(net, [[-2.0]])
+        wg, bg, dx = backward(net, posts, [[1.0]])
         # the output layer passes its gradient through; the hidden relu stops it
         assert bg[1][0] == 1.0
         assert wg[0][0, 0] == 0.0 and bg[0][0] == 0.0 and dx[0, 0] == 0.0
 
     def test_upstream_shape_checked(self):
         net = identity_layer_net(2)
-        _, stack = net_forward(net, [[1.0, 2.0]])
+        _, posts = net_forward(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
-            net_backward(net, stack, np.ones((3, 2)))
+            backward(net, posts, np.ones((3, 2)))
 
     def test_without_input_grad_same_parameter_grads(self):
         rng = np.random.default_rng(4)
         net = init_dense_net([5, 4, 3], rng)
-        _, stack = net_forward(net, rng.standard_normal((6, 5)))
+        _, posts = net_forward(net, rng.standard_normal((6, 5)))
         upstream = rng.standard_normal((6, 3))
-        wg, bg, dx = net_backward(net, stack, upstream)
-        wg2, bg2, dx2 = net_backward(net, stack, upstream, input_grad=False)
+        wg, bg, dx = backward(net, posts, upstream)
+        wg2, bg2, dx2 = backward(net, posts, upstream, input_grad=False)
         assert dx.shape == (6, 5) and dx2 is None
         for a, b in zip(wg + bg, wg2 + bg2):
             assert a.tobytes() == b.tobytes()
@@ -115,8 +139,8 @@ class TestBackward:
             out, _ = net_forward(net, X)
             return 0.5 * np.sum((out - target) ** 2)
 
-        out, stack = net_forward(net, X)
-        wg, bg, _ = net_backward(net, stack, out - target)
+        out, posts = net_forward(net, X)
+        wg, bg, _ = backward(net, posts, out - target)
         params = {}
         for i in range(2):
             params[f"W{i}"] = net.weights[i]
@@ -125,6 +149,44 @@ class TestBackward:
         for i in range(2):
             np.testing.assert_allclose(wg[i], fd[f"W{i}"], rtol=1e-5, atol=1e-8)
             np.testing.assert_allclose(bg[i], fd[f"b{i}"], rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("widths", [[4, 3], [4, 5, 5, 3]], ids=["one_layer", "three_layers"])
+    def test_inputs_not_written(self, widths):
+        # with one layer the weight gradient reads upstream itself; deeper,
+        # the relu mask is applied in place to later deltas only
+        rng = np.random.default_rng(6)
+        net = init_dense_net(widths, rng)
+        _, posts = net_forward(net, rng.standard_normal((6, 4)))
+        upstream = rng.standard_normal((6, 3))
+        before = [a.copy() for a in (upstream, *posts)]
+        backward(net, posts, upstream)
+        for a, b in zip((upstream, *posts), before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_bitwise_equal_to_pre_activation_backward(self):
+        # the relu mask read from the layer outputs is the one the
+        # pre-activations give, so the gradients are those of the
+        # textbook pass that keeps the pre-activations, bit for bit
+        rng = np.random.default_rng(7)
+        net = init_dense_net([5, 4, 4, 3], rng)
+        X = rng.standard_normal((6, 5))
+        X[0, :] = 0.0  # exact zeros in the first hidden layer's input
+        upstream = rng.standard_normal((6, 3))
+        pres, ins = [], [X]
+        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+            pres.append(ins[-1] @ W + b)
+            ins.append(np.maximum(pres[-1], 0.0))
+        delta, ref_w, ref_b = upstream, [], []
+        for i in reversed(range(3)):
+            if i < 2:
+                delta = delta * (pres[i] > 0.0)
+            ref_w.insert(0, ins[i].T @ delta)
+            ref_b.insert(0, delta.sum(axis=0))
+            delta = delta @ net.weights[i].T
+        _, posts = net_forward(net, X)
+        wg, bg, dx = backward(net, posts, upstream)
+        for a, b in zip(wg + bg + [dx], ref_w + ref_b + [delta]):
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,11 +208,11 @@ def test_backward_matches_finite_diff_property(seed, widths):
     # its kink makes the two-sided estimate straddle the nondifferentiable
     # point; skip those draws rather than compare garbage (two widths give
     # a single linear layer, which has no kink)
-    _, (pres, _) = net_forward(net, X)
-    assume(all(np.min(np.abs(pre)) > 1e-4 for pre in pres[:-1]))
+    _, posts = net_forward(net, X)
+    pres = [h @ W + b for h, W, b in zip(posts[:-2], net.weights, net.biases)]
+    assume(all(np.min(np.abs(pre)) > 1e-4 for pre in pres))
 
-    _, stack = net_forward(net, X)
-    wg, bg, _ = net_backward(net, stack, upstream_seed)
+    wg, bg, _ = backward(net, posts, upstream_seed)
     params = {f"W{i}": w for i, w in enumerate(net.weights)}
     params.update({f"b{i}": b for i, b in enumerate(net.biases)})
     fd = finite_diff_grad(loss, params, eps=1e-5)
@@ -168,8 +230,8 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         params = {"p": np.array([0.0])}
         adam_step(params, {"p": np.array([3.7])}, AdamState(), lr=0.01)
-        # bias-corrected first step moves by lr * g/|g| up to epsilon
-        assert params["p"][0] == pytest.approx(-0.01, rel=1e-6)
+        # bias-corrected first ascent step moves by lr * g/|g| up to epsilon
+        assert params["p"][0] == pytest.approx(0.01, rel=1e-6)
 
     def test_deterministic_given_cloned_state(self):
         rng = np.random.default_rng(5)
@@ -209,10 +271,14 @@ class TestAdam:
             grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
                      * (rng.random(shape) > 0.1) for k, shape in shapes.items()}
             adam_step(fast, grads, state, lr=0.01 * (step + 1))
-            adam_brute(slow, grads, slow_state, lr=0.01 * (step + 1))
+            # the minimising reference on the negated gradient
+            adam_brute(slow, {k: -g for k, g in grads.items()}, slow_state,
+                       lr=0.01 * (step + 1))
         for k in shapes:
             assert fast[k].tobytes() == slow[k].tobytes(), k
-            assert state.m[k].tobytes() == slow_state["m"][k].tobytes(), k
+            # m is the reference's, negated; a zero moment is +0.0 in both
+            # (m starts at +0.0), which 0.0 - m gives and -m would not
+            assert state.m[k].tobytes() == (0.0 - slow_state["m"][k]).tobytes(), k
             assert state.v[k].tobytes() == slow_state["v"][k].tobytes(), k
 
     def test_non_contiguous_parameter_updated(self):
@@ -221,7 +287,7 @@ class TestAdam:
         g = rng.standard_normal((4, 6))
         expected = {"p": base.T.copy()}
         adam_step({"p": base.T}, {"p": g}, AdamState(), lr=0.1)
-        adam_brute(expected, {"p": g}, {"m": {}, "v": {}, "step": 0}, lr=0.1)
+        adam_brute(expected, {"p": -g}, {"m": {}, "v": {}, "step": 0}, lr=0.1)
         assert base.T.tobytes() == expected["p"].tobytes()
 
 
