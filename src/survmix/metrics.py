@@ -11,7 +11,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ShapeError
 
@@ -113,6 +112,50 @@ def calibration_slope(t, t_hat, event):
     return float(obs @ pred / denom)
 
 
+def _assign_rows(cost):
+    """Minimum-cost matching of each row of cost (n, m), n <= m, to its own
+    column; returns cols with cols[i] the column of row i.
+
+    The Hungarian method in its shortest augmenting path form, with row
+    and column potentials (Jonker-Volgenant): rows join one at a time, each
+    by a Dijkstra search over the reduced costs to the nearest free column,
+    and the matching is flipped along that path. n augmentations of at most
+    n steps over m columns: O(n^2 m) time, O(m) memory beyond the input.
+    """
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m)
+    row_of = np.full(m, -1)
+    col_of = np.full(n, -1)
+    for start in range(n):
+        dist = np.full(m, np.inf)
+        prev = np.empty(m, dtype=int)
+        reached = np.zeros(m, dtype=bool)  # matched columns passed so far
+        row, low = start, 0.0
+        while True:
+            reduced = cost[row] - (u[row] - low) - v
+            closer = (reduced < dist) & ~reached
+            dist[closer] = reduced[closer]
+            prev[closer] = row
+            col = int(np.argmin(np.where(reached, np.inf, dist)))
+            low = float(dist[col])
+            if row_of[col] < 0:
+                break
+            reached[col] = True
+            row = row_of[col]
+        u[start] += low
+        gain = low - dist[reached]
+        u[row_of[reached]] += gain
+        v[reached] -= gain
+        while True:
+            row = prev[col]
+            row_of[col] = row
+            col_of[row], col = col, col_of[row]
+            if row == start:
+                break
+    return col_of
+
+
 def hungarian(cost):
     """Minimum-cost assignment on a square matrix.
 
@@ -124,10 +167,8 @@ def hungarian(cost):
         raise ShapeError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ShapeError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=int)
-    perm[rows] = cols
-    return perm, float(cost[rows, cols].sum())
+    perm = _assign_rows(cost)
+    return perm, float(cost[np.arange(len(perm)), perm].sum())
 
 
 def _contingency(a, b):
@@ -139,19 +180,21 @@ def _contingency(a, b):
         raise ShapeError("empty label arrays")
     ua, ai = np.unique(a, return_inverse=True)
     ub, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((len(ua), len(ub)), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    cells = np.bincount(ai.ravel() * len(ub) + bi.ravel(), minlength=len(ua) * len(ub))
+    return cells.reshape(len(ua), len(ub))
 
 
 def clustering_accuracy(true_labels, pred_labels):
-    """Matched fraction under the optimal label permutation."""
+    """Matched fraction under the optimal one-to-one label matching.
+
+    The contingency table is matched as it is, turned to have no more rows
+    than columns, so U true and K predicted labels take O(U K) memory.
+    """
     table = _contingency(true_labels, pred_labels)
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=float)
-    padded[: table.shape[0], : table.shape[1]] = table
-    _, neg_matches = hungarian(-padded)
-    return float(-neg_matches / table.sum())
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    cols = _assign_rows(-table.astype(float))
+    return float(table[np.arange(len(cols)), cols].sum() / table.sum())
 
 
 def nmi(true_labels, pred_labels):

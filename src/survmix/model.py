@@ -298,8 +298,8 @@ def _recon_log_lik(dec_out, X, recon_loss):
     decoder output. For bce the decoder output is a logit."""
     if recon_loss == "mse":
         # Unit-variance Gaussian decoder.
-        ll = -0.5 * np.sum((X - dec_out) ** 2 + np.log(2.0 * np.pi), axis=1)
         grad = X - dec_out
+        ll = -0.5 * np.sum(grad**2 + np.log(2.0 * np.pi), axis=1)
     else:
         # Bernoulli decoder on logits: x*a - softplus(a).
         ll = np.sum(X * dec_out - softplus(dec_out), axis=1)
@@ -354,14 +354,14 @@ def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
 
         # Mixture parameters, via clustering and prior terms.
         diff = Z[:, None, :] - params.means[None]  # (B, K, J)
-        w = resp[:, :, None] / s.var[None]
-        grads["mix.means"][...] = (w * diff).sum(axis=0) / B
+        w_diff = resp[:, :, None] / s.var[None] * diff
+        grads["mix.means"][...] = w_diff.sum(axis=0) / B
         grads["mix.log_vars"][...] = (
             resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
         ).sum(axis=0) / B
         pi = np.exp(s.log_pi)
         grads["mix.logits"][...] = (resp - pi[None, :]).sum(axis=0) / B
-        dZ = dZ - (w * diff).sum(axis=1) / B
+        dZ = dZ - w_diff.sum(axis=1) / B
 
     # Reparameterization: z = mu + sigma * eps.
     dlogvar = dZ * eps * 0.5 * sigma

@@ -1,9 +1,11 @@
 import contextlib
 import io
+import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,14 @@ from survmix.cli import (
     save_checkpoint,
     train_config_from,
 )
-from survmix.datagen import PreprocessStats, SurvMnistConfig, SyntheticConfig, load_csv
+from survmix.datagen import (
+    PreprocessStats,
+    SurvivalDataset,
+    SurvMnistConfig,
+    SyntheticConfig,
+    load_csv,
+    save_csv,
+)
 from survmix.errors import ConfigError, FormatError, ShapeError
 from survmix import model
 from survmix.model import ModelParams, TrainConfig, init_params
@@ -658,3 +667,74 @@ class TestSurvMnistSimulate:
         train = load_csv(os.path.join(out, "train.csv"), feature_kind="binary")
         assert train.features.shape[1] == 10
         assert set(np.unique(train.labels)) <= {0, 1, 2}
+
+
+NO_SCIPY_PIPELINE = r"""
+import importlib, json, pkgutil, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import survmix
+modules = sorted(m.name for m in pkgutil.iter_modules(survmix.__path__))
+for name in modules:
+    importlib.import_module("survmix." + name)
+from survmix.cli import main
+
+test = ["--data", "data/test.csv"]
+for argv in (
+    ["simulate", "--kind", "synthetic", "--config", "run.cfg", "--out", "data"],
+    ["train", "--data", "data/train.csv", "--config", "run.cfg", "--out", "model.ckpt"],
+    ["predict", "--checkpoint", "model.ckpt", *test, "--out", "pred.csv"],
+    ["evaluate", "--predictions", "pred.csv", *test, "--out", "report.txt"],
+    ["km-export", "--predictions", "pred.csv", *test, "--out", "km.csv"],
+):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+print(json.dumps({"modules": modules,
+                  "scipy": [k for k in sys.modules if k.split(".")[0] == "scipy"]}))
+"""
+
+
+class TestFootprint:
+    def test_runs_without_scipy(self, tmp_path):
+        write_config(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_PIPELINE], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded["modules"] == ["baselines", "cli", "datagen", "dist", "errors",
+                                     "metrics", "model", "nnet"]
+        assert loaded["scipy"] == []
+        assert "acc = NA" not in (tmp_path / "report.txt").read_text()
+
+    def test_evaluate_many_distinct_true_labels(self, tmp_path):
+        # one true cluster per row, three predicted: the label matching must
+        # stay O(U K) in memory, not O(U^2)
+        n = 3000
+        rng = np.random.default_rng(0)
+        save_csv(SurvivalDataset(rng.standard_normal((n, 2)), rng.uniform(0.5, 5.0, n),
+                                 rng.integers(0, 2, n), np.arange(n)), tmp_path / "data.csv")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("row_id,cluster,pred_time\n"
+                        + "".join(f"{i},{i % 3},{1.0 + i % 7}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", "--predictions", str(pred),
+                         "--data", str(tmp_path / "data.csv"),
+                         "--out", str(tmp_path / "report.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "acc = 0.001\n" in (tmp_path / "report.txt").read_text()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -167,7 +167,7 @@ class TestClusteringScores:
         assert clustering_accuracy(true, pred) == 1.0
 
     def test_acc_unequal_label_counts(self):
-        # 3 predicted clusters vs 2 true: padding handles the mismatch
+        # 3 predicted clusters vs 2 true: one predicted cluster stays unmatched
         assert clustering_accuracy([0, 0, 1, 1], [0, 1, 2, 2]) == pytest.approx(0.75)
 
     def test_nmi_perfect_and_constant(self):
@@ -194,6 +194,45 @@ class TestClusteringScores:
     def test_empty_labels_rejected(self):
         with pytest.raises(ShapeError):
             clustering_accuracy([], [])
+
+    def test_many_distinct_labels_use_linear_memory(self):
+        # 3000 true labels, 3 predicted: memory must stay O(U K), not O(U^2)
+        true = np.arange(3000)
+        tracemalloc.start()
+        try:
+            acc = clustering_accuracy(true, true % 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc == 0.001
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def square_int_costs(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+class TestMatchingOnTies:
+    """Integer costs and contingency tables are full of tied optima."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(square_int_costs))
+    def test_hungarian_equals_brute_force_on_integer_costs(self, rows):
+        cost = np.array(rows, dtype=float)
+        perm, total = hungarian(cost)
+        assert sorted(perm.tolist()) == list(range(len(cost)))
+        assert total == cost[np.arange(len(cost)), perm].sum()
+        assert total == assignment_brute(cost)[1]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=14))
+    def test_accuracy_equals_brute_force_on_unequal_label_counts(self, rows):
+        true = [r[0] for r in rows]
+        pred = [r[1] for r in rows]
+        assume(len(set(true)) != len(set(pred)))
+        assert clustering_accuracy(true, pred) == acc_brute(true, pred)
+        assert clustering_accuracy(pred, true) == acc_brute(pred, true)
 
 
 class TestSurvivalMetricsAgainstBruteForce:
