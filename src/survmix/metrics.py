@@ -3,11 +3,15 @@
 Concordance index, relative absolute errors on events and censored rows,
 a quantile-quantile calibration slope, Hungarian-matched clustering
 accuracy, NMI, ARI, and the Kaplan-Meier product-limit estimator.
+
+Every score that counts pairs or cells does so with array sorts and
+exact integer counts in O(N) memory: the concordance index by sorted
+doubling blocks, NMI and ARI from the nonzero contingency cells. Only
+the clustering accuracy builds the dense table its matching needs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,12 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
+# Rows per base block of the concordance count: pairs inside a block are
+# counted by one broadcast compare of O(N * _CI_BLOCK) booleans.
+_CI_BLOCK = 32
+_CI_BEFORE = np.tri(_CI_BLOCK, k=-1, dtype=bool)  # [p, q]: q precedes p
+
+
 def concordance_index(t, event, risk):
     """Fraction of admissible pairs ranked concordantly by risk.
 
@@ -43,11 +53,16 @@ def concordance_index(t, event, risk):
     event; risk ties count as discordant (strict inequality).
     Returns None when no admissible pair exists.
 
-    Rows are swept in decreasing time, one tied-time group at a time, with
-    the risks of the rows already passed (all strictly later) in a sorted
-    list: each event row is admissible with every one of them and
-    concordant with those of smaller risk. O(N log N) comparisons and O(N)
-    memory; the counts are exact integers.
+    Times and risks are ranked, and the rows ordered by time descending,
+    then by risk descending. In that order an event row is concordant with
+    exactly the earlier rows of smaller risk rank: rows of its own time
+    come earlier only when their risk is not smaller. Admissible pairs come
+    from cumulative counts of the time ranks. The "smaller rank earlier"
+    pairs are counted bottom-up over doubling blocks: inside each base
+    block by one broadcast compare, then at each level by one sort of the
+    left-hand blocks and one binary search for the event rows of the
+    right-hand blocks. O(N log^2 N) time and O(N) memory; the counts are
+    exact integers.
     """
     t = np.asarray(t, dtype=float)
     event = np.asarray(event, dtype=float)
@@ -56,24 +71,42 @@ def concordance_index(t, event, risk):
         raise ShapeError("t, event, and risk must have equal length")
     if not (np.isfinite(t).all() and np.isfinite(risk).all()):
         raise DomainError("concordance needs finite times and risks")
-    order = np.argsort(-t, kind="stable")
-    times, events, risks = t[order].tolist(), (event[order] == 1).tolist(), risk[order].tolist()
-    later = []  # sorted risks of the rows with a strictly later time
-    concordant = admissible = 0
-    start = 0
-    while start < len(times):
-        stop = start + 1
-        while stop < len(times) and times[stop] == times[start]:
-            stop += 1
-        for i in range(start, stop):
-            if events[i]:
-                admissible += len(later)
-                concordant += bisect_left(later, risks[i])
-        for i in range(start, stop):
-            insort(later, risks[i])
-        start = stop
+    n = len(t)
+    t_rank = np.unique(t, return_inverse=True)[1]
+    risks, r_rank = np.unique(risk, return_inverse=True)
+    is_event = event == 1
+    later = n - np.cumsum(np.bincount(t_rank))  # rows of a later time
+    admissible = int(later[t_rank[is_event]].sum())
     if admissible == 0:
         return None
+    stride = len(risks)
+    order = np.argsort(t_rank * stride + r_rank)[::-1]
+    # Pad to a power-of-two number of base blocks with never-smaller ranks
+    # and no events, so every level splits into whole blocks.
+    blocks = -(-n // _CI_BLOCK)
+    size = _CI_BLOCK << (blocks - 1).bit_length()
+    key = np.full(size, stride)
+    key[:n] = r_rank[order]
+    at = np.flatnonzero(is_event[order])  # event rows' places in the order
+    at_key = key[at]
+    base = key[:blocks * _CI_BLOCK].reshape(blocks, _CI_BLOCK)
+    probe = np.full(blocks * _CI_BLOCK, -1)  # rank -1: no row counts for it
+    probe[at] = at_key
+    smaller = base[:, None, :] < probe.reshape(blocks, _CI_BLOCK)[:, :, None]
+    smaller &= _CI_BEFORE
+    concordant = int(np.count_nonzero(smaller))
+    width = _CI_BLOCK
+    while width < n:
+        pairs = -(-n // width) // 2  # left blocks with a right-hand partner
+        left = np.sort(key[:pairs * 2 * width].reshape(pairs, 2, width)[:, 0], axis=1)
+        left += np.arange(0, pairs * stride, stride)[:, None]
+        # Widths are powers of two: bit "width" of a place marks a
+        # right-hand block, and the bits above it number the pair.
+        right = (at & width) != 0
+        pair = at[right] >> width.bit_length()
+        below = np.searchsorted(left.ravel(), pair * stride + at_key[right])
+        concordant += int(below.sum() - width * pair.sum())
+        width *= 2
     return concordant / admissible
 
 
@@ -171,7 +204,10 @@ def hungarian(cost):
     return perm, float(cost[np.arange(len(perm)), perm].sum())
 
 
-def _contingency(a, b):
+def _cells(a, b):
+    """The nonzero cells of the contingency table, in row-major order, as
+    (rows, cols, counts), and its row and column totals. One np.unique over
+    the label pairs: O(N) memory for any numbers of distinct labels."""
     a = np.asarray(a)
     b = np.asarray(b)
     if len(a) != len(b):
@@ -180,8 +216,10 @@ def _contingency(a, b):
         raise ShapeError("empty label arrays")
     ua, ai = np.unique(a, return_inverse=True)
     ub, bi = np.unique(b, return_inverse=True)
-    cells = np.bincount(ai.ravel() * len(ub) + bi.ravel(), minlength=len(ua) * len(ub))
-    return cells.reshape(len(ua), len(ub))
+    ai, bi, nv = ai.ravel(), bi.ravel(), len(ub)
+    codes, counts = np.unique(ai * nv + bi, return_counts=True)
+    return (codes // nv, codes % nv, counts,
+            np.bincount(ai, minlength=len(ua)), np.bincount(bi, minlength=nv))
 
 
 def clustering_accuracy(true_labels, pred_labels):
@@ -190,45 +228,44 @@ def clustering_accuracy(true_labels, pred_labels):
     The contingency table is matched as it is, turned to have no more rows
     than columns, so U true and K predicted labels take O(U K) memory.
     """
-    table = _contingency(true_labels, pred_labels)
+    rows, cols, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    table = np.zeros((len(row_totals), len(col_totals)), dtype=counts.dtype)
+    table[rows, cols] = counts
     if table.shape[0] > table.shape[1]:
         table = table.T
-    cols = _assign_rows(-table.astype(float))
-    return float(table[np.arange(len(cols)), cols].sum() / table.sum())
+    match = _assign_rows(-table.astype(float))
+    return float(table[np.arange(len(match)), match].sum() / table.sum())
 
 
 def nmi(true_labels, pred_labels):
     """Mutual information normalized by the geometric mean of entropies
     (natural logs); 0 when either labeling is constant."""
-    table = _contingency(true_labels, pred_labels).astype(float)
-    n = table.sum()
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    ha = -np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa)))
-    hb = -np.sum(pb * np.log(pb, where=pb > 0, out=np.zeros_like(pb)))
+    rows, cols, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    n = counts.sum()
+    pa = row_totals / n
+    pb = col_totals / n
+    ha = -np.sum(pa * np.log(pa))
+    hb = -np.sum(pb * np.log(pb))
     if ha == 0.0 or hb == 0.0:
         return 0.0
-    pj = table / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pj / np.outer(pa, pb)
-        terms = np.where(pj > 0, pj * np.log(ratio, where=pj > 0, out=np.zeros_like(pj)), 0.0)
-    mi = terms.sum()
+    pj = counts / n
+    mi = np.sum(pj * np.log(pj / (pa[rows] * pb[cols])))
     return float(np.clip(mi / np.sqrt(ha * hb), 0.0, 1.0))
 
 
 def ari(true_labels, pred_labels):
     """Pair-counting Rand index adjusted for chance."""
-    table = _contingency(true_labels, pred_labels)
-    if table.sum() < 2:
+    _, _, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    n = counts.sum()
+    if n < 2:
         raise ShapeError("need at least 2 points")
-    n = table.sum()
 
     def comb2(x):
         return x * (x - 1) / 2.0
 
-    sum_ij = comb2(table).sum()
-    sum_a = comb2(table.sum(axis=1)).sum()
-    sum_b = comb2(table.sum(axis=0)).sum()
+    sum_ij = comb2(counts).sum()
+    sum_a = comb2(row_totals).sum()
+    sum_b = comb2(col_totals).sum()
     expected = sum_a * sum_b / comb2(n)
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:

@@ -24,6 +24,21 @@ def ci_brute(t, event, risk):
     return None if admissible == 0 else concordant / admissible
 
 
+def ci_chunked(t, event, risk, chunk=500):
+    """ci_brute's pair count as NumPy compares of one chunk of rows j (the
+    earlier time of a pair) against every row i, for inputs too long for
+    the loop."""
+    t, event, risk = (np.asarray(a, dtype=float) for a in (t, event, risk))
+    concordant = admissible = 0
+    for start in range(0, len(t), chunk):
+        tj = t[start:start + chunk, None]
+        rj = risk[start:start + chunk, None]
+        pairs = (tj < t) & (event[start:start + chunk, None] == 1)
+        admissible += int(np.count_nonzero(pairs))
+        concordant += int(np.count_nonzero(pairs & (rj > risk)))
+    return None if admissible == 0 else concordant / admissible
+
+
 def rae_nc_brute(t, t_hat, event):
     terms = [abs((t_hat[i] - t[i]) / t_hat[i]) for i in range(len(t)) if event[i] == 1]
     return None if not terms else sum(terms) / len(terms)

@@ -10,6 +10,7 @@ from oracles import (
     ari_brute,
     assignment_brute,
     ci_brute,
+    ci_chunked,
     km_brute,
     nmi_brute,
     rae_c_brute,
@@ -36,6 +37,15 @@ def random_instance(rng, n):
     event = rng.integers(0, 2, n)
     t_hat = rng.uniform(0.5, 10.0, n).round(1)
     return t, event, t_hat
+
+
+def tied_rows(max_len):
+    """(time, event, risk) lists of every length up to max_len, with times
+    and risks drawn from ranges that are often much narrower than the list."""
+    shape = st.tuples(st.integers(0, max_len), st.integers(0, 20), st.integers(0, max_len))
+    return shape.flatmap(lambda s: st.lists(
+        st.tuples(st.integers(0, s[1]), st.booleans(), st.integers(-s[2], s[2])),
+        min_size=s[0], max_size=s[0]))
 
 
 class TestConcordance:
@@ -76,6 +86,52 @@ class TestConcordance:
         event = [int(r[1]) for r in rows]
         risk = [float(r[2]) for r in rows]
         assert concordance_index(t, event, risk) == ci_brute(t, event, risk)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_rows(300))
+    def test_equals_brute_force_across_block_levels(self, rows):
+        # lengths up to 300 run several doubling levels above the base
+        # blocks, most of them with a partial last block
+        t = [float(r[0]) for r in rows]
+        event = [int(r[1]) for r in rows]
+        risk = [float(r[2]) for r in rows]
+        assert concordance_index(t, event, risk) == ci_brute(t, event, risk)
+
+    @pytest.mark.parametrize("t, event, risk, expected", [
+        ([], [], [], None),
+        ([1.0], [1], [2.0], None),
+        ([3.0, 3.0, 3.0, 3.0], [1, 1, 0, 1], [1.0, 4.0, 2.0, 3.0], None),
+        ([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1], [2.0, 2.0, 2.0, 2.0], 0.0),
+        ([1.0, 2.0], [1, 1], [-0.0, 0.0], 0.0),
+        ([1.0, 2.0], [1, 1], [0.0, -0.0], 0.0),
+    ], ids=["empty", "single_row", "all_times_tied", "all_risks_tied",
+            "minus_zero_then_zero", "zero_then_minus_zero"])
+    def test_edge_cases(self, t, event, risk, expected):
+        result = concordance_index(t, event, risk)
+        assert result == expected and type(result) is type(expected)
+
+    def test_long_input_equals_chunked_pair_count(self):
+        rng = np.random.default_rng(12)
+        n = 4000
+        t = rng.integers(0, 300, n).astype(float)  # about 13 rows per time
+        event = rng.integers(0, 2, n)
+        risk = rng.normal(size=n).round(2)
+        assert concordance_index(t, event, risk) == ci_chunked(t, event, risk)
+
+    def test_large_input_memory(self):
+        rng = np.random.default_rng(9)
+        n = 60000
+        t = rng.uniform(0.5, 10.0, n).round(2)
+        event = rng.integers(0, 2, n)
+        risk = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            ci = concordance_index(t, event, risk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.4 < ci < 0.6
+        assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_evaluate_large_test_set_memory(self):
         rng = np.random.default_rng(8)
@@ -205,6 +261,20 @@ class TestClusteringScores:
         finally:
             tracemalloc.stop()
         assert acc == 0.001
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("score", [nmi, ari])
+    def test_many_labels_on_both_sides_use_linear_memory(self, score):
+        # 3000 labels against 3000: only the 3000 nonzero cells are read,
+        # not a 3000 x 3000 table
+        true = np.arange(3000)
+        tracemalloc.start()
+        try:
+            value = score(true, true[::-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
         assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
