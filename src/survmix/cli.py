@@ -36,7 +36,6 @@ from .datagen import (
 )
 from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixError, TrainingError
 from .model import ModelParams, TrainConfig
-from .nnet import layer_activations
 
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 1
@@ -171,21 +170,16 @@ def save_checkpoint(params, stats, config_values, path):
     tensors["stats.feature_mean"] = stats.feature_mean
     tensors["stats.feature_std"] = stats.feature_std
 
-    meta = dict(config_values)
-    for prefix, net in (("enc", params.encoder), ("dec", params.decoder)):
-        meta[f"arch.{prefix}_acts"] = ",".join(layer_activations(len(net.weights)))
-    meta["stats.feature_kind"] = stats.feature_kind
-
     # written beside the target, then renamed: a failed save leaves it as it was
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(meta)))
-            for key in sorted(meta):
+            f.write(struct.pack("<I", len(config_values)))
+            for key in sorted(config_values):
                 _write_str(f, key)
-                _write_str(f, str(meta[key]))
+                _write_str(f, str(config_values[key]))
             f.write(struct.pack("<I", len(tensors)))
             for name in sorted(tensors):
                 arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=float))
@@ -202,9 +196,11 @@ def save_checkpoint(params, stats, config_values, path):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, PreprocessStats, config echo dict).
-
-    Any malformed or incomplete file raises FormatError."""
+    """Returns (ModelParams, PreprocessStats, config echo dict); the
+    tensors alone define both. Older files' entries stay in the echo and
+    are ignored, except that ``stats.feature_kind = binary``, whose stored
+    stats were never applied, loads mean 0 and std 1. Any malformed or
+    incomplete file raises FormatError."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -230,17 +226,15 @@ def load_checkpoint(path):
             count = math.prod(shape)
             payload = _read_exact(f, 8 * count, path, f"tensor {name!r}")
             arr = np.frombuffer(payload, dtype="<f8").copy()
-            tensors[name] = arr.reshape(shape) if shape else arr[0]
+            tensors[name] = arr.reshape(shape)
 
     try:
         _check_entries(path, tensors, meta)
-        params = ModelParams(tensors, float(np.ravel(tensors["surv.shape"])[0]))
-        stats = PreprocessStats(
-            max_time=float(np.ravel(tensors["stats.max_time"])[0]),
-            feature_mean=tensors["stats.feature_mean"],
-            feature_std=tensors["stats.feature_std"],
-            feature_kind=meta.get("stats.feature_kind", "real"),
-        )
+        params = ModelParams(tensors, float(tensors["surv.shape"][0]))
+        mean, std = tensors["stats.feature_mean"], tensors["stats.feature_std"]
+        if meta.get("stats.feature_kind") == "binary":
+            mean, std = np.zeros_like(mean), np.ones_like(std)
+        stats = PreprocessStats(float(tensors["stats.max_time"][0]), mean, std)
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint entry {exc}") from None
     except ShapeError as exc:
@@ -249,29 +243,22 @@ def load_checkpoint(path):
 
 
 def _check_entries(path, tensors, meta):
-    """FormatError unless each net's activations are nnet's rule for its
-    depth, the feature kind is real or binary, the stats fit the encoder's
-    D inputs, the two scalars hold one value, all values are finite and
-    the Weibull shape, time scale and feature scales are positive.
-    ModelParams checks the model's shapes."""
+    """FormatError unless an older file's feature kind is real or binary,
+    the stats fit the encoder's D inputs, the two scalars have shape (1,),
+    as written, all values are finite and the Weibull shape, time scale
+    and feature scales are positive. ModelParams checks the model's
+    shapes."""
     kind = meta.get("stats.feature_kind", "real")
     if kind not in ("real", "binary"):
         raise FormatError(f"{path}: entry 'stats.feature_kind' is {kind!r}, "
                           f"expected 'real' or 'binary'")
     d = (np.shape(tensors["enc.W0"]) + (-1,))[0]
-    expected = {"stats.feature_mean": (d,), "stats.feature_std": (d,)}
-    for prefix in ("enc", "dec"):
-        acts = meta[f"arch.{prefix}_acts"]
-        rule = ",".join(layer_activations(sum(n.startswith(f"{prefix}.W") for n in tensors)))
-        if acts != rule:
-            raise FormatError(f"{path}: entry 'arch.{prefix}_acts' is {acts!r}, expected {rule!r}")
-    # the two scalars are stored with rank 0 or 1
-    expected.update({name: np.shape(tensors[name]) if np.size(tensors[name]) == 1 else ()
-                     for name in ("surv.shape", "stats.max_time")})
+    expected = {"stats.feature_mean": (d,), "stats.feature_std": (d,),
+                "surv.shape": (1,), "stats.max_time": (1,)}
     for name, shape in expected.items():
         if np.shape(tensors[name]) != shape:
             raise FormatError(f"{path}: tensor {name!r} has shape {np.shape(tensors[name])}, "
-                              f"expected {shape} to fit the other tensors")
+                              f"expected {shape}")
     for name, values in tensors.items():
         if not np.isfinite(values).all():
             raise FormatError(f"{path}: tensor {name!r} holds a non-finite value")
@@ -304,7 +291,7 @@ def cmd_simulate(kind, config_path, out_dir, seed_override=None):
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     with open(os.path.join(out_dir, "manifest"), "w") as f:
-        f.write(f"kind = {kind}\nseed = {gen_config.seed}\n")
+        f.write(f"kind = {kind}\n")
         for key in sorted(values):
             f.write(f"{key} = {values[key]}\n")
 
@@ -325,7 +312,7 @@ def cmd_train(data_path, config_path, out_path, seed_override=None):
 
 def cmd_predict(checkpoint_path, data_path, out_path):
     params, stats, meta = load_checkpoint(checkpoint_path)
-    dataset = load_csv(data_path, feature_kind=stats.feature_kind)
+    dataset = load_csv(data_path)
     if dataset.features.shape[1] != params.input_dim:
         raise ShapeError(
             f"data has {dataset.features.shape[1]} features, "

@@ -54,6 +54,7 @@ class SurvivalDataset:
         return self.features.shape[0]
 
     def subset(self, idx):
+        # of the generators' diagnostics only the per-row ones are kept
         return SurvivalDataset(
             self.features[idx],
             self.times[idx],
@@ -61,8 +62,8 @@ class SurvivalDataset:
             None if self.labels is None else self.labels[idx],
             self.feature_kind,
             self.processed,
-            {k: np.asarray(v)[idx] for k, v in self.diagnostics.items()
-             if np.ndim(v) >= 1 and np.shape(v)[0] == len(self)},
+            {k: v[idx] for k, v in self.diagnostics.items()
+             if k in ("latents", "event_times", "scales")},
         )
 
 
@@ -324,12 +325,12 @@ def load_csv(path, feature_kind="real"):
 
 @dataclass
 class PreprocessStats:
-    """Train-split statistics used to standardize any split."""
+    """The train split's map of any split: t -> TIME_OFFSET + t / max_time
+    and x -> (x - feature_mean) / feature_std (mean 0, std 1 if x is binary)."""
 
     max_time: float
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    feature_kind: str = "real"
 
 
 TIME_OFFSET = 1e-3
@@ -338,7 +339,8 @@ STD_FLOOR = 1e-8
 
 def preprocess(dataset, stats=None):
     """Map times affinely onto (0.001, 1.001] (train max -> 1.001) and
-    standardize real-valued features with train statistics.
+    features by (x - mean) / std. Statistics computed here standardize
+    real-valued features and leave binary ones as they are (mean 0, std 1).
 
     Returns (processed dataset, stats). Passing a dataset already
     processed with the same stats is a no-op; without stats it is a
@@ -351,18 +353,15 @@ def preprocess(dataset, stats=None):
     if stats is None:
         if len(dataset) == 0:
             raise ShapeError("cannot compute preprocessing statistics from zero rows")
-        stats = PreprocessStats(
-            max_time=float(dataset.times.max()),
-            feature_mean=dataset.features.mean(axis=0),
-            feature_std=np.maximum(dataset.features.std(axis=0), STD_FLOOR),
-            feature_kind=dataset.feature_kind,
-        )
+        x = dataset.features
+        if dataset.feature_kind == "binary":
+            mean, std = np.zeros(x.shape[1]), np.ones(x.shape[1])
+        else:
+            mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR)
+        stats = PreprocessStats(float(dataset.times.max()), mean, std)
     times = TIME_OFFSET + dataset.times / stats.max_time
-    if dataset.feature_kind == "real":
-        features = dataset.features - stats.feature_mean
-        features /= stats.feature_std
-    else:
-        features = dataset.features.copy()
+    features = dataset.features - stats.feature_mean
+    features /= stats.feature_std
     out = replace(dataset, features=features, times=times, processed=True)
     return out, stats
 

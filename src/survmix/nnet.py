@@ -32,11 +32,6 @@ from .errors import ShapeError, TrainingError
 ADAM_BLOCK = 32768  # elements per Adam block, so its six 256 KiB slices are reused from cache
 
 
-def layer_activations(depth):
-    """The activation of each layer of a depth-layer DenseNet."""
-    return ["relu"] * (depth - 1) + ["identity"]
-
-
 @dataclass
 class DenseNet:
     """An ordered stack of (weight, bias) layers, relu on all but the last.

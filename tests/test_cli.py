@@ -28,6 +28,7 @@ from survmix.datagen import (
     SurvivalDataset,
     SurvMnistConfig,
     SyntheticConfig,
+    inverse_time_transform,
     load_csv,
     save_csv,
 )
@@ -155,20 +156,32 @@ class TestCheckpoint:
         np.testing.assert_array_equal(lstats.feature_mean, stats.feature_mean)
         assert meta["epochs"] == "3"
 
-    def test_file_with_old_size_entries_loads(self, tmp_path):
-        # Files written before the arch.enc_sizes/arch.dec_sizes entries
-        # were dropped carry them; they are read as ordinary meta.
-        params, stats, (new, _, _) = self.roundtrip(tmp_path)
-        path = str(tmp_path / "old.ckpt")
-        save_checkpoint(params, stats, {"epochs": "3", "arch.enc_sizes": "5,6,6",
-                                        "arch.dec_sizes": "3,6,5"}, path)
-        old, old_stats, meta = load_checkpoint(path)
-        assert meta["arch.enc_sizes"] == "5,6,6"
-        X = np.random.default_rng(1).standard_normal((7, 5))
-        a, b = model.predict(new, X), model.predict(old, X)
-        for field in ("labels", "posterior", "latent", "median_time"):
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-        assert old_stats.feature_std.tobytes() == stats.feature_std.tobytes()
+    # Entries that older files carry: the size and activation tags are read
+    # as ordinary meta; a binary feature kind's stored stats were never
+    # applied, so the file predicts like a new one with identity stats.
+    @pytest.mark.parametrize("old_meta", [
+        {"arch.enc_sizes": "5,6,6", "arch.dec_sizes": "3,6,5"},
+        {"arch.enc_acts": "relu,identity", "arch.dec_acts": "relu,identity"},
+        {"stats.feature_kind": "binary"},
+    ], ids=["sizes", "activations", "binary_kind"])
+    def test_file_with_old_size_entries_loads(self, tmp_path, old_meta):
+        params, stats, _ = self.roundtrip(tmp_path)
+        old_path, new_path = str(tmp_path / "old.ckpt"), str(tmp_path / "new.ckpt")
+        save_checkpoint(params, stats, {"epochs": "3", **old_meta}, old_path)
+        if "stats.feature_kind" in old_meta:
+            stats = PreprocessStats(stats.max_time, np.zeros(5), np.ones(5))
+        save_checkpoint(params, stats, {"epochs": "3"}, new_path)
+        _, old_stats, meta = load_checkpoint(old_path)
+        assert meta == {"epochs": "3", **old_meta}
+        for name in ("feature_mean", "feature_std"):
+            assert getattr(old_stats, name).tobytes() == getattr(stats, name).tobytes()
+        rng = np.random.default_rng(1)
+        save_csv(SurvivalDataset(rng.integers(0, 2, (7, 5)), np.arange(1.0, 8.0),
+                                 np.ones(7, dtype=int)), tmp_path / "x.csv")
+        for path in (old_path, new_path):
+            assert main(["predict", "--checkpoint", path, "--data", str(tmp_path / "x.csv"),
+                         "--out", path + ".csv"]) == 0
+        assert Path(old_path + ".csv").read_bytes() == Path(new_path + ".csv").read_bytes()
 
     def test_round_trip_plain_prior(self, tmp_path):
         # Files written with the plain N(0, I) prior, since removed, carry
@@ -220,17 +233,13 @@ class TestCheckpoint:
             with pytest.raises(FormatError):
                 load_checkpoint(path)
 
-    # Same-length byte edits that keep the container well formed.
+    # Byte edits that keep the container well formed.
     CORRUPTIONS = {
-        "missing_meta_key": (b"arch.enc_acts", b"arch.enc_actX", "arch.enc_acts"),
         "missing_tensor": (b"mix.means", b"mix.meanX", "mix.means"),
-        "unknown_activation": (b"relu,identity", b"relu,identitX", "identitX"),
-        # survmix builds relu hidden layers and a linear output only
-        "wrong_activation_order": (b"relu,identity", b"identity,relu", "identity,relu"),
-        "non_utf8_string": (b"arch.enc_acts", b"arch.enc_act\xff", "UTF-8"),
-        # preprocess would treat any kind but real as binary and skip standardising
-        "unknown_feature_kind": (b"\x04\x00real", b"\x04\x00rexl",
-                                 "entry 'stats.feature_kind' is 'rexl'"),
+        "non_utf8_string": (b"mix.log_vars", b"mix.log_var\xff", "UTF-8"),
+        # the writer stores the two scalars with shape (1,) only
+        "rank_zero_scalar": (b"surv.shape\x01" + struct.pack("<I", 1),
+                             b"surv.shape\x00", r"'surv.shape' has shape \(\), expected \(1,\)"),
         # rank 65 with a zero dim: an empty payload numpy cannot reshape
         "rank_above_two": (b"mix.logits\x01" + struct.pack("<I", 2),
                            b"mix.logits\x41" + struct.pack("<I", 0),
@@ -240,6 +249,11 @@ class TestCheckpoint:
         "absurd_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
                         b"surv.shape\x02" + struct.pack("<3I", 65536, 65536, 1),
                         "truncated tensor 'surv.shape'"),
+    }
+    # Older files' entries with values no older writer stored.
+    META_EDITS = {
+        "unknown_feature_kind": ({"stats.feature_kind": "rexl"},
+                                 "entry 'stats.feature_kind' is 'rexl'"),
     }
     # Well-formed containers whose tensors do not fit together (the model
     # has D=5, J=3, K=2 and one hidden layer of 6 in each net).
@@ -284,8 +298,8 @@ class TestCheckpoint:
         else:
             tensors["dec.W0"] = tensors["dec.W0"][:, :-1]
 
-    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(SHAPE_EDITS)
-                             + sorted(VALUE_EDITS))
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(META_EDITS)
+                             + sorted(SHAPE_EDITS) + sorted(VALUE_EDITS))
     def test_corrupt_entry_is_format_error(self, tmp_path, capsys, kind):
         params, stats, _ = self.roundtrip(tmp_path)
         path = tmp_path / "model.ckpt"
@@ -294,6 +308,9 @@ class TestCheckpoint:
             data = path.read_bytes()
             assert old in data
             path.write_bytes(data.replace(old, new, 1))
+        elif kind in self.META_EDITS:
+            meta, message = self.META_EDITS[kind]
+            save_checkpoint(params, stats, {"epochs": "3", **meta}, str(path))
         elif kind in self.SHAPE_EDITS:
             self.edit_shape(params.tensors, stats, kind)
             save_checkpoint(params, stats, {"epochs": "3"}, str(path))
@@ -653,7 +670,7 @@ class TestDeterminism:
                      "--out", str(tmp_path / "d"), "--seed", "9"]) == 0
         manifest = Path(tmp_path / "d" / "manifest").read_text().splitlines()
         seeds = [line for line in manifest if line.startswith("seed =")]
-        assert seeds and all(line == "seed = 9" for line in seeds), seeds
+        assert seeds == ["seed = 9"], seeds
 
 
 class TestSurvMnistSimulate:
@@ -667,6 +684,28 @@ class TestSurvMnistSimulate:
         train = load_csv(os.path.join(out, "train.csv"), feature_kind="binary")
         assert train.features.shape[1] == 10
         assert set(np.unique(train.labels)) <= {0, 1, 2}
+
+    def test_bce_pipeline_predicts_on_raw_features(self, tmp_path):
+        # binary features are not standardised: predict must equal the
+        # model on the raw test features, bit for bit
+        cfg = write_config(tmp_path, "num_samples = 200\nnum_clusters = 3\nseed = 1\n"
+                           "test_fraction = 0.25\nrecon_loss = bce\nepochs = 2\n"
+                           "latent_dim = 3\nbatch_size = 64\nenc_hidden = 16\ndec_hidden = 16\n")
+        data, ckpt = tmp_path / "d", str(tmp_path / "m.ckpt")
+        test, pred = str(data / "test.csv"), str(tmp_path / "pred.csv")
+        for argv in (["simulate", "--kind", "survmnist", "--config", cfg, "--out", str(data)],
+                     ["train", "--data", str(data / "train.csv"), "--config", cfg, "--out", ckpt],
+                     ["predict", "--checkpoint", ckpt, "--data", test, "--out", pred],
+                     ["evaluate", "--predictions", pred, "--data", test,
+                      "--out", str(tmp_path / "report.txt")]):
+            assert main(argv) == 0, argv[0]
+        params, stats, _ = load_checkpoint(ckpt)
+        expected = model.predict(params, load_csv(test).features)
+        table = np.loadtxt(pred, delimiter=",", skiprows=1, ndmin=2)
+        header = Path(pred).read_text().split("\n", 1)[0].split(",")
+        assert table[:, 1].astype(int).tobytes() == expected.labels.tobytes()
+        t_hat = inverse_time_transform(expected.median_time, stats)
+        assert table[:, header.index("pred_time")].tobytes() == t_hat.tobytes()
 
 
 NO_SCIPY_PIPELINE = r"""

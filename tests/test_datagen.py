@@ -61,6 +61,18 @@ class TestDatasetContainer:
         assert sub.diagnostics["latents"].shape[0] == 10
         # parameter-shaped diagnostics (per-cluster) are dropped, not sliced
         assert "betas" not in sub.diagnostics
+        # also when the row count equals their first axis: K rows, or 10 for
+        # the digit assignment
+        data = gen_synthetic(SyntheticConfig(num_samples=3, num_clusters=3, latent_dim=2,
+                                             num_features=4, seed=0))
+        features, digits = make_surrogate_digit_features(10, 0)
+        digit_data = gen_survmnist(SurvMnistConfig(num_clusters=3, seed=0), features, digits)
+        for data, fraction, per_row in ((data, 0.34, {"latents", "event_times", "scales"}),
+                                        (digit_data, 0.3, {"event_times"})):
+            for part in train_test_split(data, fraction, seed=0):
+                assert set(part.diagnostics) == per_row
+                for v in part.diagnostics.values():
+                    assert len(v) == len(part)
 
 
 class TestGenSpd:
@@ -285,10 +297,14 @@ class TestPreprocess:
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-10)
 
     def test_binary_features_untouched(self):
+        # the identity stats leave every bit as it was, a -0.0 too
         features, digits = make_surrogate_digit_features(200, 0)
+        features[3, 4] = -0.0
         data = gen_survmnist(SurvMnistConfig(num_clusters=3, seed=0), features, digits)
-        out, _ = preprocess(data)
-        np.testing.assert_array_equal(out.features, data.features)
+        out, stats_ = preprocess(data)
+        assert out.features.tobytes() == data.features.tobytes()
+        np.testing.assert_array_equal(stats_.feature_mean, np.zeros(10))
+        np.testing.assert_array_equal(stats_.feature_std, np.ones(10))
 
     def test_reapplication_is_noop(self):
         data = small_synth(seed=7)
