@@ -3,8 +3,8 @@
 Digit classes are grouped into survival clusters; each cluster draws an
 exponential event time from its own rate, and a single global censoring
 time truncates the upper tail. Surrogate features replace the digit
-images with noisy one-hot label encodings, so the demo needs no image
-files.
+images with noisy one-hot label encodings clipped to [0, 1], so the demo
+needs no image files.
 
 The model trains with a Bernoulli (binary cross-entropy) decoder, the
 natural choice for near-binary features.
@@ -12,16 +12,13 @@ natural choice for near-binary features.
 
 import numpy as np
 
-from survmix.datagen import (SurvMnistConfig, gen_survmnist,
-                             make_surrogate_digit_features, preprocess,
+from survmix.datagen import (SurvMnistConfig, gen_survmnist, preprocess,
                              train_test_split)
 from survmix.metrics import (clustering_accuracy, concordance_index,
                              kaplan_meier)
 from survmix.model import TrainConfig, fit, predict
 
-features, digits = make_surrogate_digit_features(2000, seed=0)
-data = gen_survmnist(SurvMnistConfig(num_clusters=5, seed=0),
-                     features, digits)
+data = gen_survmnist(SurvMnistConfig(num_samples=2000, num_clusters=5, seed=0))
 print(f"digit -> cluster map: {data.diagnostics['digit_assignment']}")
 print(f"censored fraction:    {1.0 - data.events.mean():.1%}")
 

@@ -1,8 +1,10 @@
 """Command-line interface and checkpoint persistence.
 
 Subcommands: simulate | train | predict | evaluate | km-export. Run
-configuration is flat ``key = value`` text with a strict key whitelist;
-checkpoints are a small binary container of named float64 tensors.
+configuration is flat ``key = value`` text whose keys, each set at most
+once, are the fields of the run-config dataclasses plus test_fraction,
+with those dataclasses' defaults; checkpoints are a small binary
+container of named float64 tensors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .datagen import (
     gen_synthetic,
     inverse_time_transform,
     load_csv,
-    make_surrogate_digit_features,
     preprocess,
     save_csv,
     train_test_split,
@@ -40,42 +41,30 @@ from .model import ModelParams, TrainConfig
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 1
 
-# Whitelisted run-config keys with defaults mirroring the reference
-# tabular-benchmark recipe.
+# The run-config keys and their defaults: the fields of the generator and
+# training configs, a later class winning on a shared key (seed 42 and
+# num_clusters 3 come from TrainConfig), plus the split's test fraction.
 CONFIG_DEFAULTS = {
-    # training
-    "latent_dim": "16",
-    "num_clusters": "3",
-    "weibull_shape": "1.0",
-    "batch_size": "256",
-    "learning_rate": "1e-3",
-    "epochs": "1000",
-    "pretrain_epochs": "0",
-    "recon_loss": "mse",
-    "survival_weight": "1.0",
-    "seed": "42",
-    "enc_hidden": "128,128",
-    "dec_hidden": "128,128",
-    # data generation
-    "num_samples": "60000",
-    "num_features": "1000",
-    "hidden_units": "32",
-    "censoring_fraction": "0.3",
-    "cov_mode": "full",
-    "mean_survival": "365.0",
-    "test_fraction": "0.3",
+    f.name: ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+    for cls in (SurvMnistConfig, SyntheticConfig, TrainConfig) for f in fields(cls)
 }
+CONFIG_DEFAULTS["test_fraction"] = "0.3"
+
+# The dataset kinds simulate generates: (config class, generator).
+GENERATORS = {"synthetic": (SyntheticConfig, gen_synthetic),
+              "survmnist": (SurvMnistConfig, gen_survmnist)}
 
 # Longest string a checkpoint holds (its length is stored as a u16), so
 # also the longest run-config value, which train echoes into the file.
 MAX_STR_BYTES = 0xFFFF
 
 
-def parse_config(path):
-    """Read ``key = value`` lines ('#' comments allowed); unknown keys are
-    rejected with their line number, missing keys fall back to defaults."""
+def parse_config(path, seed=None):
+    """Read ``key = value`` lines ('#' comments allowed); unknown and
+    repeated keys are rejected with their line numbers, missing keys fall
+    back to defaults. A seed given here replaces the file's seed."""
     values = dict(CONFIG_DEFAULTS)
-    seen = set()
+    seen = {}
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
@@ -90,15 +79,20 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: configuration key {key!r} already set "
+                              f"on line {seen[key]}")
         if len(value.encode("utf-8")) > MAX_STR_BYTES:
             raise ConfigError(f"{path}:{lineno}: value of {key!r} is longer than "
                               f"{MAX_STR_BYTES} bytes")
         values[key] = value
-        seen.add(key)
+        seen[key] = lineno
     for key in CONFIG_DEFAULTS:
         if key not in seen:
             print(f"notice: {key} not set, using default {CONFIG_DEFAULTS[key]}",
                   file=sys.stderr)
+    if seed is not None:
+        values["seed"] = str(seed)
     return values
 
 
@@ -271,21 +265,11 @@ def _check_entries(path, tensors, meta):
 # --- subcommands ---------------------------------------------------------
 
 
-def cmd_simulate(kind, config_path, out_dir, seed_override=None):
-    values = parse_config(config_path)
-    if seed_override is not None:
-        values["seed"] = str(seed_override)
+def cmd_simulate(kind, values, out_dir):
+    config_class, generate = GENERATORS[kind]
+    gen_config = _from_config(config_class, values)
     os.makedirs(out_dir, exist_ok=True)
-    if kind == "synthetic":
-        gen_config = _from_config(SyntheticConfig, values)
-        dataset = gen_synthetic(gen_config)
-    elif kind == "survmnist":
-        gen_config = _from_config(SurvMnistConfig, values)
-        features, digits = make_surrogate_digit_features(_value(values, "num_samples", int),
-                                                         gen_config.seed)
-        dataset = gen_survmnist(gen_config, features, digits)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+    dataset = generate(gen_config)
     train, test = train_test_split(dataset, _value(values, "test_fraction", float),
                                    gen_config.seed)
     save_csv(train, os.path.join(out_dir, "train.csv"))
@@ -296,10 +280,7 @@ def cmd_simulate(kind, config_path, out_dir, seed_override=None):
             f.write(f"{key} = {values[key]}\n")
 
 
-def cmd_train(data_path, config_path, out_path, seed_override=None):
-    values = parse_config(config_path)
-    if seed_override is not None:
-        values["seed"] = str(seed_override)
+def cmd_train(data_path, values, out_path):
     config = train_config_from(values)
     feature_kind = "binary" if config.recon_loss == "bce" else "real"
     dataset = load_csv(data_path, feature_kind=feature_kind)
@@ -398,7 +379,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a benchmark dataset")
-    p.add_argument("--kind", choices=["synthetic", "survmnist"], required=True)
+    p.add_argument("--kind", choices=list(GENERATORS), required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
@@ -431,9 +412,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cmd_simulate(args.kind, args.config, args.out, args.seed)
+            cmd_simulate(args.kind, parse_config(args.config, args.seed), args.out)
         elif args.command == "train":
-            cmd_train(args.data, args.config, args.out, args.seed)
+            cmd_train(args.data, parse_config(args.config, args.seed), args.out)
         elif args.command == "predict":
             cmd_predict(args.checkpoint, args.data, args.out)
         elif args.command == "evaluate":

@@ -1,9 +1,10 @@
 """Benchmark generators, dataset I/O, and preprocessing.
 
-Two generators are provided: a tabular benchmark whose latents follow a
-Gaussian mixture with cluster-specific linear Weibull survival heads,
-and a digits benchmark that attaches exponential survival times to MNIST
-digit classes, with surrogate features standing in for the images.
+Two generators are provided, each sized and seeded by its config alone:
+a tabular benchmark whose latents follow a Gaussian mixture with
+cluster-specific linear Weibull survival heads, and a digits benchmark
+that attaches exponential survival times to MNIST digit classes, with
+surrogate features in [0, 1] standing in for the images.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class SurvivalDataset:
             self.feature_kind,
             self.processed,
             {k: v[idx] for k, v in self.diagnostics.items()
-             if k in ("latents", "event_times", "scales")},
+             if k in ("latents", "event_times", "scales", "digits")},
         )
 
 
@@ -96,11 +97,14 @@ class SyntheticConfig:
 @dataclass
 class SurvMnistConfig:
     num_clusters: int = 5
+    num_samples: int = 60000
     censoring_fraction: float = 0.3
     mean_survival: float = 365.0
     seed: int = 0
 
     def validate(self):
+        if self.num_samples < 1:
+            raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
         if not 1 <= self.num_clusters <= 10:
             raise ConfigError("num_clusters must be between 1 and 10 (ten digits)")
         if not 0.0 <= self.censoring_fraction < 1.0:
@@ -195,25 +199,23 @@ def gen_synthetic(config):
     )
 
 
-def make_surrogate_digit_features(n, seed):
-    """Stand-in for MNIST images: one-hot digit labels plus N(0, 0.1^2) noise."""
-    if n < 1:
-        raise ConfigError(f"num_samples must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    digits = rng.integers(0, 10, size=n)
-    features = np.eye(10)[digits] + 0.1 * rng.standard_normal((n, 10))
-    return features, digits
-
-
-def gen_survmnist(config, features, digit_labels):
+def gen_survmnist(config):
     """Digits benchmark: exponential survival times with digit-cluster
-    specific rates; a single censoring time truncates the upper tail."""
+    specific rates; a single censoring time truncates the upper tail.
+
+    The features stand in for MNIST images: one-hot digit labels plus
+    N(0, 0.1^2) noise, clipped to the [0, 1] range of pixel intensities.
+    Digits and features come from one generator seeded with config.seed,
+    the survival part from a second one with the same seed.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    K = config.num_clusters
-    digit_labels = np.asarray(digit_labels, dtype=int)
-    n = len(digit_labels)
+    n, K = config.num_samples, config.num_clusters
+    digit_labels = rng.integers(0, 10, size=n)
+    features = np.eye(10)[digit_labels] + 0.1 * rng.standard_normal((n, 10))
+    np.clip(features, 0.0, 1.0, out=features)
 
+    rng = np.random.default_rng(config.seed)
     digits = rng.permutation(10)
     assignment = np.empty(10, dtype=int)
     assignment[digits[:K]] = np.arange(K)  # every cluster gets >= 1 digit
@@ -231,10 +233,9 @@ def gen_survmnist(config, features, digit_labels):
     t = np.where(events == 1, u, t_cens)
 
     return SurvivalDataset(
-        np.asarray(features, dtype=float), t, events, labels=clusters,
-        feature_kind="binary",
-        diagnostics={"event_times": u, "risk_scores": risk, "rates": rate,
-                     "digit_assignment": assignment, "censor_time": t_cens},
+        features, t, events, labels=clusters, feature_kind="binary",
+        diagnostics={"event_times": u, "digits": digit_labels, "risk_scores": risk,
+                     "rates": rate, "digit_assignment": assignment, "censor_time": t_cens},
     )
 
 

@@ -445,6 +445,9 @@ def fit(data, config, callback=None):
 
     data must expose .features, .times, .events. The trace holds the mean
     batch objective per epoch; callback(epoch, value) is called after each.
+    With recon_loss "bce" every feature must lie in [0, 1], else the
+    Bernoulli log-likelihood has no upper bound: a DomainError names the
+    first row and column outside it.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -453,6 +456,10 @@ def fit(data, config, callback=None):
     event = np.asarray(data.events, dtype=float)
     if X.shape[0] == 0:
         raise ShapeError("no training rows")
+    if config.recon_loss == "bce":
+        for i, j in np.argwhere(~((X >= 0.0) & (X <= 1.0)))[:1]:
+            raise DomainError(f"row {i}: feature_{j} is {X[i, j]}, but recon_loss bce "
+                              f"needs features in [0, 1]")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
     trace = _train(params, params.tensors, X, t, event, config.epochs, config, rng, callback)

@@ -44,7 +44,6 @@ from survmix.datagen import (
     SyntheticConfig,
     gen_survmnist,
     gen_synthetic,
-    make_surrogate_digit_features,
     preprocess,
     train_test_split,
 )
@@ -389,17 +388,14 @@ def test_criterion_10_survmnist_properties():
     p_cens = 0.3
     censored_ok = True
     for seed in range(10):
-        feats, digits = make_surrogate_digit_features(2000, seed=seed)
         data = gen_survmnist(
-            SurvMnistConfig(num_clusters=5, censoring_fraction=p_cens,
+            SurvMnistConfig(num_samples=2000, num_clusters=5, censoring_fraction=p_cens,
                             seed=seed),
-            feats, digits,
         )
         censored_ok &= (1.0 - data.events.mean()) >= p_cens
 
     # per-cluster event times against the generating exponential
-    feats, digits = make_surrogate_digit_features(120_000, seed=0)
-    data = gen_survmnist(SurvMnistConfig(num_clusters=5, seed=0), feats, digits)
+    data = gen_survmnist(SurvMnistConfig(num_samples=120_000, num_clusters=5, seed=0))
     u = data.diagnostics["event_times"]
     rates = data.diagnostics["rates"]
     worst_p = 1.0
@@ -410,8 +406,7 @@ def test_criterion_10_survmnist_properties():
         worst_p = min(worst_p, p)
 
     # surrogate-feature training reaches the concordance floor
-    feats, digits = make_surrogate_digit_features(2000, seed=0)
-    data = gen_survmnist(SurvMnistConfig(num_clusters=5, seed=0), feats, digits)
+    data = gen_survmnist(SurvMnistConfig(num_samples=2000, num_clusters=5, seed=0))
     train, test = train_test_split(data, test_fraction=0.3, seed=0)
     train, stats_ = preprocess(train)
     test, _ = preprocess(test, stats_)

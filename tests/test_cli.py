@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,20 @@ class TestConfigParsing:
         parse_config(write_config(tmp_path, "epochs = 1\n"))
         err = capsys.readouterr().err
         assert "latent_dim" in err and "default" in err
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = write_config(tmp_path, "epochs = 2\nseed = 1\nepochs = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p}:3: configuration key 'epochs' already set on line 1")):
+            parse_config(p)
+
+    @pytest.mark.parametrize("cls", [SurvMnistConfig, SyntheticConfig, TrainConfig])
+    def test_defaults_are_the_dataclass_defaults(self, cls):
+        # a shared key takes the last class's default: TrainConfig's seed
+        # and num_clusters
+        settled = {k: v for k, v in dict(seed=42, num_clusters=3).items() if hasattr(cls, k)}
+        assert _from_config(cls, CONFIG_DEFAULTS) == replace(cls(), **settled)
+        assert float(CONFIG_DEFAULTS["learning_rate"]) == 1e-3
 
     def test_train_config_round_trip(self, tmp_path):
         values = parse_config(write_config(tmp_path))
@@ -479,6 +495,8 @@ class TestCliErrors:
         ("synthetic", "seed = -1", "seed"),
         ("survmnist", "seed = -1", "seed"),
         ("train", "seed = -1", "seed"),
+        # the synthetic features are not intensities in [0, 1]
+        ("train", "recon_loss = bce", "row 0: feature_"),
         ("synthetic", "--seed -3", "seed"),
         ("train", "--seed -3", "seed"),
         # longer than a checkpoint string holds: rejected before training
@@ -490,10 +508,14 @@ class TestCliErrors:
     ])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, word):
         # train gets real data, so a value validation lets through trains and exits 0;
-        # a line starting with -- is given as command-line flags instead. The
-        # one error line names word, and train leaves no checkpoint.
+        # a line starting with -- is given as command-line flags instead, any
+        # other line replaces FAST_TRAIN's line for its key (a key may be set
+        # once). The one error line names word, and train leaves no checkpoint.
         flags = line.split() if line.startswith("--") else []
-        cfg = write_config(tmp_path, FAST_TRAIN + ("" if flags else line + "\n"))
+        key = line.split("=")[0].strip()
+        base = "".join(f"{kept}\n" for kept in FAST_TRAIN.splitlines()
+                       if kept.split("=")[0].strip() != key)
+        cfg = write_config(tmp_path, base + ("" if flags else line + "\n"))
         if command == "train":
             argv = ["train", "--data", os.path.join(pipeline["data"], "train.csv"),
                     "--out", str(tmp_path / "m.ckpt")]

@@ -15,7 +15,6 @@ from survmix.datagen import (
     gen_synthetic,
     inverse_time_transform,
     load_csv,
-    make_surrogate_digit_features,
     preprocess,
     save_csv,
     train_test_split,
@@ -65,10 +64,9 @@ class TestDatasetContainer:
         # the digit assignment
         data = gen_synthetic(SyntheticConfig(num_samples=3, num_clusters=3, latent_dim=2,
                                              num_features=4, seed=0))
-        features, digits = make_surrogate_digit_features(10, 0)
-        digit_data = gen_survmnist(SurvMnistConfig(num_clusters=3, seed=0), features, digits)
+        digit_data = gen_survmnist(SurvMnistConfig(num_samples=10, num_clusters=3, seed=0))
         for data, fraction, per_row in ((data, 0.34, {"latents", "event_times", "scales"}),
-                                        (digit_data, 0.3, {"event_times"})):
+                                        (digit_data, 0.3, {"digits", "event_times"})):
             for part in train_test_split(data, fraction, seed=0):
                 assert set(part.diagnostics) == per_row
                 for v in part.diagnostics.values():
@@ -148,15 +146,22 @@ class TestSynthetic:
 
 class TestSurvMnist:
     def make(self, seed=0, n=2000, k=5, censor=0.3):
-        features, digits = make_surrogate_digit_features(n, seed)
-        cfg = SurvMnistConfig(num_clusters=k, censoring_fraction=censor, seed=seed)
-        return gen_survmnist(cfg, features, digits), digits
+        cfg = SurvMnistConfig(num_samples=n, num_clusters=k, censoring_fraction=censor,
+                              seed=seed)
+        data = gen_survmnist(cfg)
+        return data, data.diagnostics["digits"]
 
     def test_every_cluster_nonempty_in_assignment(self):
         for seed in range(10):
             data, _ = self.make(seed=seed)
             assignment = data.diagnostics["digit_assignment"]
             assert set(assignment) == set(range(5))
+
+    def test_features_are_pixel_intensities(self):
+        # clipped noise: in [0, 1], and every row still peaks at its digit
+        data, digits = self.make(seed=3)
+        assert data.features.min() >= 0.0 and data.features.max() <= 1.0
+        np.testing.assert_array_equal(data.features.argmax(axis=1), digits)
 
     def test_clusters_follow_digit_assignment(self):
         data, digits = self.make(seed=1)
@@ -176,8 +181,7 @@ class TestSurvMnist:
 
     def test_uncensored_times_exponential_per_cluster(self):
         # KS on the retained pre-censoring event times
-        features, digits = make_surrogate_digit_features(30000, 11)
-        data = gen_survmnist(SurvMnistConfig(num_clusters=3, seed=11), features, digits)
+        data = gen_survmnist(SurvMnistConfig(num_samples=30000, num_clusters=3, seed=11))
         u = data.diagnostics["event_times"]
         rates = data.diagnostics["rates"]
         for c in range(3):
@@ -298,9 +302,8 @@ class TestPreprocess:
 
     def test_binary_features_untouched(self):
         # the identity stats leave every bit as it was, a -0.0 too
-        features, digits = make_surrogate_digit_features(200, 0)
-        features[3, 4] = -0.0
-        data = gen_survmnist(SurvMnistConfig(num_clusters=3, seed=0), features, digits)
+        data = gen_survmnist(SurvMnistConfig(num_samples=200, num_clusters=3, seed=0))
+        data.features[3, 4] = -0.0
         out, stats_ = preprocess(data)
         assert out.features.tobytes() == data.features.tobytes()
         np.testing.assert_array_equal(stats_.feature_mean, np.zeros(10))

@@ -27,6 +27,12 @@ def test_python_demo(tmp_path, name):
     run([sys.executable, str(DEMOS / name)], tmp_path)
 
 
+def test_readme_quickstart(tmp_path):
+    # the library example in README.md runs against the package as it is
+    code = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    run([sys.executable, "-c", code], tmp_path)
+
+
 def test_cli_pipeline_demo(tmp_path):
     # the demo calls the installed `survmix` script; a shim stands in for it
     bin_dir = tmp_path / "bin"

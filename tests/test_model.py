@@ -6,7 +6,7 @@ import pytest
 from oracles import finite_diff_grad, fit_brute
 from survmix import model
 from survmix.datagen import SurvivalDataset, SyntheticConfig, gen_synthetic, preprocess
-from survmix.errors import ConfigError, ShapeError, TrainingError
+from survmix.errors import ConfigError, DomainError, ShapeError, TrainingError
 from survmix.model import (
     LOGVAR_MAX,
     LOGVAR_MIN,
@@ -213,6 +213,14 @@ class TestElbo:
         empty = SurvivalDataset(np.zeros((0, 5)), np.zeros(0), np.zeros(0))
         with pytest.raises(ShapeError):
             fit(empty, tiny_config())
+
+    def test_bce_needs_features_in_unit_interval(self):
+        # x * a - softplus(a) grows without bound in a once x > 1
+        X = np.full((4, 3), 0.5)
+        X[2, 1] = 1.3
+        data = SurvivalDataset(X, np.ones(4), np.ones(4, dtype=int))
+        with pytest.raises(DomainError, match=r"row 2: feature_1 is 1\.3"):
+            fit(data, tiny_config(recon_loss="bce"))
 
 
 class TestGradients:
