@@ -29,6 +29,7 @@ from .datagen import (
     gen_synthetic,
     inverse_time_transform,
     load_csv,
+    load_outcomes,
     preprocess,
     save_csv,
     train_test_split,
@@ -62,7 +63,8 @@ MAX_STR_BYTES = 0xFFFF
 def parse_config(path, seed=None):
     """Read ``key = value`` lines ('#' comments allowed); unknown and
     repeated keys are rejected with their line numbers, missing keys fall
-    back to defaults. A seed given here replaces the file's seed."""
+    back to defaults, each with a notice on stderr. A seed given here
+    replaces the file's seed, and a missing seed is then not noticed."""
     values = dict(CONFIG_DEFAULTS)
     seen = {}
     try:
@@ -87,12 +89,12 @@ def parse_config(path, seed=None):
                               f"{MAX_STR_BYTES} bytes")
         values[key] = value
         seen[key] = lineno
-    for key in CONFIG_DEFAULTS:
-        if key not in seen:
-            print(f"notice: {key} not set, using default {CONFIG_DEFAULTS[key]}",
-                  file=sys.stderr)
     if seed is not None:
         values["seed"] = str(seed)
+    for key in CONFIG_DEFAULTS:
+        if key not in seen and not (key == "seed" and seed is not None):
+            print(f"notice: {key} not set, using default {CONFIG_DEFAULTS[key]}",
+                  file=sys.stderr)
     return values
 
 
@@ -324,22 +326,25 @@ def cmd_predict(checkpoint_path, data_path, out_path):
 
 def _load_predictions(predictions_path, data_path):
     """(dataset, predicted clusters, predicted times) for a predict output
-    whose row ids are exactly 0..N-1 of the dataset."""
+    whose row ids are exactly 0..N-1 of the dataset. Only the columns
+    evaluate and km-export use are parsed: row_id, cluster and pred_time
+    of the predictions, and time, event and cluster of the data file,
+    which load_outcomes returns with zero feature columns."""
 
     def check_header(header):
         for required in ("row_id", "cluster", "pred_time"):
             if required not in header:
                 raise FormatError(f"{predictions_path}: missing column {required!r}")
-        return ["row_id", "cluster"]
+        return ["row_id", "cluster", "pred_time"], ["row_id", "cluster"]
 
-    header, values, ints = _read_table(predictions_path, check_header)
-    dataset = load_csv(data_path)
+    values, ints = _read_table(predictions_path, check_header)
+    dataset = load_outcomes(data_path)
     if not np.array_equal(ints["row_id"], np.arange(len(dataset))):
         raise FormatError(
             f"{predictions_path}: row ids do not align with {data_path} "
             f"({len(values)} predictions vs {len(dataset)} rows)"
         )
-    pred_time = values[:, header.index("pred_time")]
+    pred_time = values[:, 2]
     bad = np.flatnonzero(~(np.isfinite(pred_time) & (pred_time > 0)))
     if len(bad):
         raise FormatError(f"{predictions_path}: row {bad[0]}: pred_time must be finite "

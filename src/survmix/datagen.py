@@ -5,6 +5,10 @@ a tabular benchmark whose latents follow a Gaussian mixture with
 cluster-specific linear Weibull survival heads, and a digits benchmark
 that attaches exponential survival times to MNIST digit classes, with
 surrogate features in [0, 1] standing in for the images.
+
+Datasets are saved as CSV tables. One reader parses them, converting
+only the columns its caller uses while checking every row's width:
+load_csv reads every cell, load_outcomes only time, event and cluster.
 """
 
 from __future__ import annotations
@@ -262,36 +266,86 @@ def _write_table(path, header, columns):
 
 
 def _read_table(path, check_header):
-    """Parse a table written by _write_table; CRLF line ends are accepted.
+    """Parse the columns a caller uses of a table written by _write_table;
+    CRLF line ends are accepted.
 
     check_header(header) raises FormatError on a header it cannot use and
-    returns the names of the integer columns. Returns the header, every
-    cell as an (N, width) float array, and {integer name: (N,) ints}.
-    Errors name the first bad data row, counting from 0.
+    returns (names, integer names): the columns the caller uses, and the
+    integer ones among them. Every row's cell count is checked, but only
+    the named cells are converted: each to float, and an integer one also
+    to int. Returns the named columns as an (N, len(names)) float array
+    and {integer name: (N,) ints}. Errors name the first bad data row,
+    counting from 0.
     """
     with open(path, errors="replace") as f:  # undecodable bytes then fail as cells
         header = f.readline().rstrip("\n").split(",")
         if header == [""]:
             raise FormatError(f"{path}: empty file, header row required")
-        integers = [header.index(name) for name in check_header(header)]
-        width, step, first = len(header), max(1, _BLOCK_CELLS // len(header)), 0
-        floats, ints = [np.empty((0, width))], [np.empty((0, len(integers)), dtype=int)]
-        while rows := [line.rstrip("\n").split(",") for line in islice(f, step)]:
-            try:
-                floats.append(np.array(rows, dtype=float).reshape(len(rows), width))
-                ints.append(np.array([[row[j] for j in integers] for row in rows], dtype=int))
-            except (ValueError, OverflowError):
-                for i, row in enumerate(rows, first):
-                    if len(row) != width:
-                        raise FormatError(f"{path}: row {i}: expected {width} cells, "
-                                          f"got {len(row)}") from None
-                    try:
-                        np.array(row, dtype=float), np.array([row[j] for j in integers], dtype=int)
-                    except (ValueError, OverflowError) as exc:
-                        raise FormatError(f"{path}: row {i}: non-numeric cell ({exc})") from None
-            first += len(rows)
-    ints = np.concatenate(ints)
-    return header, np.concatenate(floats), {header[j]: ints[:, k] for k, j in enumerate(integers)}
+        names, integer_names = check_header(header)
+        integers = [header.index(name) for name in integer_names]
+        if list(names) == header:
+            floats, ints = _read_all_cells(f, path, len(header), integers)
+        else:  # a few names: header.index scans the header for each
+            floats, ints = _read_used_cells(f, path, len(header),
+                                            [header.index(name) for name in names], integers)
+    return floats, dict(zip(integer_names, ints.T))
+
+
+def _read_all_cells(f, path, width, integers):
+    """The rest of f as an (N, width) float array, and its integer columns."""
+    step, first = max(1, _BLOCK_CELLS // width), 0
+    floats, ints = [np.empty((0, width))], [np.empty((0, len(integers)), dtype=int)]
+    while rows := [line.rstrip("\n").split(",") for line in islice(f, step)]:
+        try:
+            floats.append(np.array(rows, dtype=float).reshape(len(rows), width))
+            ints.append(np.array([[row[j] for j in integers] for row in rows], dtype=int))
+        except (ValueError, OverflowError):
+            _raise_bad_row(path, rows, first, width, range(width), integers)
+        first += len(rows)
+    return np.concatenate(floats), np.concatenate(ints)
+
+
+def _read_used_cells(f, path, width, columns, integers):
+    """The rest of f's cells at columns as floats, and at integers as ints.
+
+    line.count(",") gives a row's width, and the row is split only as far
+    as the used cells reach, from whichever end of it is nearer to them.
+    """
+    lo, hi = min(columns), max(columns)
+    if hi + 1 <= width - lo:  # split(",", hi + 1) yields cells 0..hi, then the rest
+        cut, offsets = (lambda line: line.split(",", hi + 1)), columns
+    else:  # rsplit(",", width - lo) yields the rest, then cells lo..width-1
+        cut, offsets = (lambda line: line.rsplit(",", width - lo)), [j - lo + 1 for j in columns]
+    positions = [columns.index(j) for j in integers]
+    step, first = max(1, _BLOCK_CELLS // width), 0
+    floats, ints = [np.empty((0, len(columns)))], [np.empty((0, len(integers)), dtype=int)]
+    while lines := [line.rstrip("\n") for line in islice(f, step)]:
+        try:
+            if any(line.count(",") != width - 1 for line in lines):
+                raise ValueError("a row of another width, found below")
+            rows = [[cells[k] for k in offsets] for cells in map(cut, lines)]
+            floats.append(np.array(rows, dtype=float).reshape(len(rows), len(columns)))
+            ints.append(np.array([[row[k] for k in positions] for row in rows], dtype=int))
+        except (ValueError, OverflowError):
+            _raise_bad_row(path, [line.split(",") for line in lines], first, width,
+                           columns, integers)
+        first += len(lines)
+    return np.concatenate(floats), np.concatenate(ints)
+
+
+def _raise_bad_row(path, rows, first, width, columns, integers):
+    """FormatError for the first of rows (split cells, the first being
+    row number first) that is not width cells long or whose cells at
+    columns are not floats, or at integers not ints. The message names
+    the first bad cell in row order, as a read of every cell would."""
+    for i, row in enumerate(rows, first):
+        if len(row) != width:
+            raise FormatError(f"{path}: row {i}: expected {width} cells, got {len(row)}")
+        try:
+            np.array([row[j] for j in sorted(columns)], dtype=float)
+            np.array([row[j] for j in integers], dtype=int)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: row {i}: non-numeric cell ({exc})") from None
 
 
 def save_csv(dataset, path):
@@ -305,7 +359,18 @@ def save_csv(dataset, path):
 
 def load_csv(path, feature_kind="real"):
     """Inverse of save_csv; errors name the first bad row."""
+    return _load_dataset(path, feature_kind, with_features=True)
 
+
+def load_outcomes(path):
+    """The time, event and cluster columns of a save_csv file, as a
+    dataset with zero feature columns. The header, every row's width and
+    the outcome cells are checked as load_csv checks them; feature cells
+    are not parsed."""
+    return _load_dataset(path, "real", with_features=False)
+
+
+def _load_dataset(path, feature_kind, with_features):
     def check_header(header):
         n_feat = sum(1 for h in header if h.startswith("feature_"))
         expected = [f"feature_{i}" for i in range(n_feat)] + ["time", "event"]
@@ -313,10 +378,10 @@ def load_csv(path, feature_kind="real"):
             expected.append("cluster")
         if header != expected:
             raise FormatError(f"{path}: expected columns {expected}, got {header}")
-        return expected[n_feat + 2:]
+        return (expected if with_features else expected[n_feat:]), expected[n_feat + 2:]
 
-    header, values, ints = _read_table(path, check_header)
-    d = len(header) - 2 - len(ints)
+    values, ints = _read_table(path, check_header)
+    d = values.shape[1] - 2 - len(ints)
     try:
         return SurvivalDataset(values[:, :d], values[:, d], values[:, d + 1],
                                ints.get("cluster"), feature_kind)

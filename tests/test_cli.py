@@ -35,7 +35,7 @@ from survmix.datagen import (
     save_csv,
 )
 from survmix.errors import ConfigError, FormatError, ShapeError
-from survmix import model
+from survmix import datagen, metrics, model
 from survmix.model import ModelParams, TrainConfig, init_params
 
 
@@ -418,6 +418,44 @@ class TestPipeline:
         for key in ("ci =", "rae_nc =", "acc =", "nmi =", "ari ="):
             assert key in report
 
+    def test_outputs_match_full_read_in_process(self, pipeline):
+        # evaluate and km-export parse only the columns they use; their
+        # bytes are those of a full read of both files
+        test = load_csv(os.path.join(pipeline["data"], "test.csv"))
+        table = np.loadtxt(pipeline["pred"], delimiter=",", skiprows=1, ndmin=2)
+        header = Path(pipeline["pred"]).read_text().split("\n", 1)[0].split(",")
+        clusters = table[:, header.index("cluster")].astype(int)
+        t_hat = table[:, header.index("pred_time")]
+        report = metrics.evaluate_predictions(test.times, test.events, t_hat=t_hat,
+                                              risk=-t_hat, true_labels=test.labels,
+                                              pred_labels=clusters)
+        assert Path(pipeline["report"]).read_bytes() == report.to_text().encode()
+        km = ["cluster,time,survival\n"]
+        for c in np.unique(clusters):
+            mask = clusters == c
+            km += ["%d,%.17g,%.17g\n" % (c, t, s)
+                   for t, s in zip(*metrics.kaplan_meier(test.times[mask], test.events[mask]))]
+        assert Path(pipeline["km"]).read_bytes() == "".join(km).encode()
+
+    def test_unparsable_feature_cells_are_not_read(self, pipeline, tmp_path):
+        # evaluate and km-export never use the features, so cells a full
+        # read rejects change neither their exit status nor their output
+        lines = Path(pipeline["data"], "test.csv").read_text().splitlines()
+        d = sum(name.startswith("feature_") for name in lines[0].split(","))
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[:d] = [("x", "nan")[(i + j) % 2] for j in range(d)]
+            lines[i] = ",".join(cells)
+        data = tmp_path / "test.csv"
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            load_csv(data)
+        for command, name in (("evaluate", "report"), ("km-export", "km")):
+            out = tmp_path / name
+            assert main([command, "--predictions", pipeline["pred"], "--data", str(data),
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == Path(pipeline[name]).read_bytes()
+
     def test_km_export_long_format(self, pipeline):
         lines = Path(pipeline["km"]).read_text().splitlines()
         assert lines[0] == "cluster,time,survival"
@@ -621,6 +659,46 @@ class TestCliErrors:
         assert message in err
 
 
+    # Faults in a 25,000-row data file, each on row 20000, which a later
+    # read block than the first holds: (cells, header) -> edited row or header.
+    DATA_FAULTS = {
+        "extra_cell": lambda cells, header: (cells + ["7"], header),
+        "event_5": lambda cells, header: (cells[:-2] + ["5", cells[-1]], header),
+        "zero_time": lambda cells, header: (cells[:-3] + ["0"] + cells[-2:], header),
+        "non_integer_cluster": lambda cells, header: (cells[:-1] + ["1.5"], header),
+        "wrong_header": lambda cells, header: (cells, header.replace("time", "when")),
+    }
+
+    @pytest.fixture(scope="class")
+    def long_data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("long")
+        rng = np.random.default_rng(0)
+        n, d = 25_000, 3
+        assert datagen._BLOCK_CELLS // (d + 3) <= 20_000
+        data = SurvivalDataset(rng.standard_normal((n, d)), rng.uniform(0.5, 2.0, n),
+                               rng.integers(0, 2, n), rng.integers(0, 3, n))
+        save_csv(data, root / "data.csv")
+        (root / "pred.csv").write_text(
+            "row_id,cluster,pred_time\n" + "".join(f"{i},{i % 3},1.5\n" for i in range(n)))
+        return root, (root / "data.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("kind", sorted(DATA_FAULTS))
+    @pytest.mark.parametrize("command", ["evaluate", "km-export"])
+    def test_malformed_data_exits_one_as_load_csv(self, long_data, tmp_path, capsys,
+                                                  command, kind):
+        root, lines = long_data
+        row, header = self.DATA_FAULTS[kind](lines[1 + 20_000].split(","), lines[0])
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header, *lines[1:20_001], ",".join(row),
+                                   *lines[20_002:]]) + "\n")
+        with pytest.raises(FormatError) as expected:
+            load_csv(data)
+        assert kind == "wrong_header" or ": row 20000: " in str(expected.value)
+        code = main([command, "--predictions", str(root / "pred.csv"), "--data", str(data),
+                     "--out", str(tmp_path / "out.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
     @pytest.mark.parametrize("command", ["evaluate", "km-export"])
     def test_bad_pred_time_exits_one(self, pipeline, tmp_path, capsys, command, value):
@@ -693,6 +771,16 @@ class TestDeterminism:
         manifest = Path(tmp_path / "d" / "manifest").read_text().splitlines()
         seeds = [line for line in manifest if line.startswith("seed =")]
         assert seeds == ["seed = 9"], seeds
+
+    def test_seed_override_of_a_missing_seed_is_not_noticed(self, tmp_path, capsys):
+        text = "".join(f"{line}\n" for line in FAST_TRAIN.splitlines()
+                       if not line.startswith("seed"))
+        assert main(["simulate", "--kind", "synthetic", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "d"), "--seed", "9"]) == 0
+        notices = capsys.readouterr().err.splitlines()
+        assert notices and not [line for line in notices if "seed" in line], notices
+        manifest = Path(tmp_path / "d" / "manifest").read_text().splitlines()
+        assert "seed = 9" in manifest
 
 
 class TestSurvMnistSimulate:

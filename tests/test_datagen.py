@@ -1,9 +1,15 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import save_csv_brute
 
+from survmix import datagen
 from survmix.datagen import (
     PreprocessStats,
     SurvivalDataset,
@@ -284,6 +290,70 @@ class TestCsv:
         p.write_text("")
         with pytest.raises(FormatError, match="empty"):
             load_csv(p)
+
+
+# Cell text a table may hold: numbers as written, numbers out of range,
+# and short strings of number-like characters.
+CELLS = st.one_of(
+    st.floats().map(lambda x: "%.17g" % x),
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet="0123456789.-+eEinfaNx \t", max_size=4),
+)
+
+
+def parses_as_float(cell):
+    try:
+        np.array([cell], dtype=float)
+    except (ValueError, OverflowError):
+        return False
+    return True
+
+
+class TestReadTable:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_used_columns_read_as_full_read(self, tmp_path_factory, data):
+        # A read of some columns returns the full read's values for them,
+        # fails only where the full read fails, and with the full read's
+        # message when its first bad row is of the wrong width or holds
+        # its bad cells in used columns alone.
+        width = data.draw(st.integers(1, 5), label="width")
+        row = st.lists(CELLS, min_size=width, max_size=width)
+        rows = data.draw(st.lists(st.one_of(row, row, st.lists(CELLS, max_size=width + 2)),
+                                  max_size=8), label="rows")
+        columns = data.draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True),
+                            label="columns")
+        integers = data.draw(st.lists(st.sampled_from(columns), unique=True), label="integers")
+        block = data.draw(st.integers(1, 3 * width), label="cells per read block")
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        path.write_text("".join(",".join(cells) + "\n"
+                                for cells in [[f"c{j}" for j in range(width)], *rows]))
+
+        def read(names):
+            def check_header(header):
+                return [header[j] for j in names], [header[j] for j in integers]
+            try:
+                return datagen._read_table(path, check_header)
+            except FormatError as exc:
+                return exc
+
+        with mock.patch.object(datagen, "_BLOCK_CELLS", block):
+            full, used = read(range(width)), read(columns)
+        if not isinstance(full, FormatError):
+            assert not isinstance(used, FormatError), used
+            floats, ints = used
+            assert floats.shape == (len(rows), len(columns))
+            assert floats.tobytes() == full[0][:, columns].tobytes()
+            assert ints.keys() == full[1].keys()
+            for name, values in ints.items():
+                assert values.dtype == full[1][name].dtype
+                assert values.tobytes() == full[1][name].tobytes()
+            return
+        i, fault = re.search(r": row (\d+): (expected|non-numeric)", str(full)).groups()
+        cells = rows[int(i)]
+        if fault == "expected" or all(parses_as_float(cells[j])
+                                      for j in range(width) if j not in columns):
+            assert str(used) == str(full)
 
 
 class TestPreprocess:
