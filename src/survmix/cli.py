@@ -303,14 +303,16 @@ def cmd_predict(checkpoint_path, data_path, out_path):
         )
     # Times and events are deliberately not passed: held-out prediction
     # must not peek at the outcome columns. Overflow warnings are silenced;
-    # a non-finite posterior or time is rejected, naming its row.
+    # a non-finite posterior or a time that is not finite and positive (a
+    # median that rounds to TIME_OFFSET) is rejected, naming its row.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             pred = model.predict(params, preprocess(dataset, stats)[0].features)
         except TrainingError as exc:
             raise DomainError(f"{checkpoint_path}: {exc}") from None
         t_hat = inverse_time_transform(pred.median_time, stats)
-    bad = np.flatnonzero(~(np.isfinite(pred.posterior).all(axis=1) & np.isfinite(t_hat)))
+        ok = np.isfinite(pred.posterior).all(axis=1) & np.isfinite(t_hat) & (t_hat > 0)
+    bad = np.flatnonzero(~ok)
     if len(bad):
         raise DomainError(f"{checkpoint_path}: row {bad[0]}: non-finite cluster posterior "
                           f"or pred_time {t_hat[bad[0]]}")

@@ -6,15 +6,17 @@ cluster-specific linear Weibull survival heads, and a digits benchmark
 that attaches exponential survival times to MNIST digit classes, with
 surrogate features in [0, 1] standing in for the images.
 
-Datasets are saved as CSV tables. One reader parses them, converting
-only the columns its caller uses while checking every row's width:
-load_csv reads every cell, load_outcomes only time, event and cluster.
+Datasets are saved as CSV tables. One loop reads every table, splitting
+each row only as far as its caller's columns reach, converting only
+those cells and checking every row's width: load_csv reads every cell,
+load_outcomes only time, event and cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -271,10 +273,13 @@ def _read_table(path, check_header):
 
     check_header(header) raises FormatError on a header it cannot use and
     returns (names, integer names): the columns the caller uses, and the
-    integer ones among them. Every row's cell count is checked, but only
-    the named cells are converted: each to float, and an integer one also
-    to int. Returns the named columns as an (N, len(names)) float array
-    and {integer name: (N,) ints}. Errors name the first bad data row,
+    integer ones among them. A header naming a column twice is rejected.
+    Each row is split only as far as the named cells reach, from its
+    nearer end; the far piece is one cell or the rest of the row, whose
+    commas complete the row's cell count, which is checked. Only the named
+    cells are converted: each to float, and an integer one also to int.
+    Returns the named columns as an (N, len(names)) float array and
+    {integer name: (N,) ints}. Errors name the first bad data row,
     counting from 0.
     """
     with open(path, errors="replace") as f:  # undecodable bytes then fail as cells
@@ -282,55 +287,33 @@ def _read_table(path, check_header):
         if header == [""]:
             raise FormatError(f"{path}: empty file, header row required")
         names, integer_names = check_header(header)
-        integers = [header.index(name) for name in integer_names]
-        if list(names) == header:
-            floats, ints = _read_all_cells(f, path, len(header), integers)
-        else:  # a few names: header.index scans the header for each
-            floats, ints = _read_used_cells(f, path, len(header),
-                                            [header.index(name) for name in names], integers)
-    return floats, dict(zip(integer_names, ints.T))
-
-
-def _read_all_cells(f, path, width, integers):
-    """The rest of f as an (N, width) float array, and its integer columns."""
-    step, first = max(1, _BLOCK_CELLS // width), 0
-    floats, ints = [np.empty((0, width))], [np.empty((0, len(integers)), dtype=int)]
-    while rows := [line.rstrip("\n").split(",") for line in islice(f, step)]:
-        try:
-            floats.append(np.array(rows, dtype=float).reshape(len(rows), width))
-            ints.append(np.array([[row[j] for j in integers] for row in rows], dtype=int))
-        except (ValueError, OverflowError):
-            _raise_bad_row(path, rows, first, width, range(width), integers)
-        first += len(rows)
-    return np.concatenate(floats), np.concatenate(ints)
-
-
-def _read_used_cells(f, path, width, columns, integers):
-    """The rest of f's cells at columns as floats, and at integers as ints.
-
-    line.count(",") gives a row's width, and the row is split only as far
-    as the used cells reach, from whichever end of it is nearer to them.
-    """
-    lo, hi = min(columns), max(columns)
-    if hi + 1 <= width - lo:  # split(",", hi + 1) yields cells 0..hi, then the rest
-        cut, offsets = (lambda line: line.split(",", hi + 1)), columns
-    else:  # rsplit(",", width - lo) yields the rest, then cells lo..width-1
-        cut, offsets = (lambda line: line.rsplit(",", width - lo)), [j - lo + 1 for j in columns]
-    positions = [columns.index(j) for j in integers]
-    step, first = max(1, _BLOCK_CELLS // width), 0
-    floats, ints = [np.empty((0, len(columns)))], [np.empty((0, len(integers)), dtype=int)]
-    while lines := [line.rstrip("\n") for line in islice(f, step)]:
-        try:
-            if any(line.count(",") != width - 1 for line in lines):
-                raise ValueError("a row of another width, found below")
-            rows = [[cells[k] for k in offsets] for cells in map(cut, lines)]
-            floats.append(np.array(rows, dtype=float).reshape(len(rows), len(columns)))
-            ints.append(np.array([[row[k] for k in positions] for row in rows], dtype=int))
-        except (ValueError, OverflowError):
-            _raise_bad_row(path, [line.split(",") for line in lines], first, width,
-                           columns, integers)
-        first += len(lines)
-    return np.concatenate(floats), np.concatenate(ints)
+        position = {name: j for j, name in enumerate(header)}
+        for j, name in enumerate(header):
+            if position[name] != j:
+                raise FormatError(f"{path}: repeated column {name!r}")
+        width, columns = len(header), [position[name] for name in names]
+        integers = [position[name] for name in integer_names]
+        lo, hi = min(columns), max(columns)
+        if hi + 1 <= width - lo:  # cells 0..hi, then the rest
+            cut, maxsplit, far, shift = str.split, hi + 1, -1, 0
+        else:  # the rest, then cells lo..width-1
+            cut, maxsplit, far, shift = str.rsplit, width - lo, 0, 1 - lo
+        pick = None if columns == list(range(width)) else itemgetter(*[j + shift for j in columns])
+        at = [j + shift for j in integers]
+        step, first = max(1, _BLOCK_CELLS // width), 0
+        floats, ints = [np.empty((0, len(columns)))], [np.empty((0, len(at)), dtype=int)]
+        while rows := [cut(line.rstrip("\n"), ",", maxsplit) for line in islice(f, step)]:
+            try:
+                if any(len(cells) + cells[far].count(",") != width for cells in rows):
+                    raise ValueError("a row of another width, found below")
+                ints.append(np.array([[cells[k] for k in at] for cells in rows], dtype=int))
+                floats.append(np.array(rows if pick is None else list(map(pick, rows)),
+                                       dtype=float).reshape(len(rows), len(columns)))
+            except (ValueError, OverflowError):
+                _raise_bad_row(path, [",".join(cells).split(",") for cells in rows], first,
+                               width, columns, integers)
+            first += len(rows)
+    return np.concatenate(floats), dict(zip(integer_names, np.concatenate(ints).T))
 
 
 def _raise_bad_row(path, rows, first, width, columns, integers):

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import gmm_em_fit
+from .datagen import TIME_OFFSET
 from .dist import (
     log_gaussian_diag,
     log_sum_exp,
@@ -43,7 +44,6 @@ from .dist import (
     softplus,
     softplus_grad,
     weibull_censored_grads,
-    weibull_median,
 )
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
 from .nnet import (
@@ -475,7 +475,9 @@ class Prediction:
 
 
 def predict(params, X, t=None, event=None):
-    """Cluster labels, posterior, latent means and predicted median times.
+    """Cluster labels, posterior, latent means and predicted median times,
+    each the posterior-weighted mean of the components' medians given
+    t > TIME_OFFSET, so that inverse_time_transform maps it above 0.
 
     Uses z = mu_theta (no sampling). When (t, event) are given the label
     posterior conditions on them; the predicted time always uses the
@@ -486,7 +488,11 @@ def predict(params, X, t=None, event=None):
     scores = _latent_scores(params, mu, t, event)
     post = _normalize_log_posterior(scores.log_joint)
     prior_post = post if t is None else _normalize_log_posterior(scores.log_prior)
-    medians = weibull_median(scores.scale, params.shape)
+    # TIME_OFFSET = a is the least preprocessed time; the median given
+    # t > a solves t^k = ln 2 lam^k + a^k, scaled by max(lam, a) against overflow
+    lam, k = scores.scale, params.shape
+    top = np.maximum(lam, TIME_OFFSET)
+    medians = top * (np.log(2.0) * (lam / top) ** k + (TIME_OFFSET / top) ** k) ** (1.0 / k)
     t_hat = (prior_post * medians).sum(axis=1)
     labels = np.argmax(post, axis=1)  # argmax breaks ties toward lower index
     return Prediction(labels, post, mu, t_hat)

@@ -168,6 +168,36 @@ def save_csv_brute(dataset, path):
             writer.writerow(row)
 
 
+def read_table_brute(path, names, integer_names):
+    """The named columns of a comma-separated table, every row split in
+    full: (an (N, len(names)) float array, {integer name: int64 array}),
+    or the message of the first bad row. A row is bad if its width is not
+    the header's, or else at its first named cell, in row order, that
+    float rejects, or else at its first integer cell, in integer_names
+    order, that int rejects or int64 cannot hold."""
+    with open(path, errors="replace") as f:
+        lines = [line.rstrip("\n") for line in f]
+    header = lines[0].split(",")
+    used = sorted(header.index(name) for name in names)
+    floats, ints = [], []
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"{path}: row {i}: expected {len(header)} cells, got {len(cells)}"
+        try:
+            values = {j: float(cells[j]) for j in used}
+            row_ints = [int(cells[header.index(name)]) for name in integer_names]
+            if any(not -2**63 <= v < 2**63 for v in row_ints):
+                raise OverflowError("Python int too large to convert to C long")
+        except (ValueError, OverflowError) as exc:
+            return f"{path}: row {i}: non-numeric cell ({exc})"
+        floats.append([values[header.index(name)] for name in names])
+        ints.append(row_ints)
+    return (np.array(floats, dtype=float).reshape(len(floats), len(names)),
+            {name: np.array([row[k] for row in ints], dtype=np.int64)
+             for k, name in enumerate(integer_names)})
+
+
 def adam_brute(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update (minimization) per dict entry, each on the whole
     array with fresh temporaries. state is {"m": {}, "v": {}, "step": 0}."""

@@ -600,6 +600,22 @@ class TestCliErrors:
             assert code == 1
             assert err == f"error: {ckpt}: {message}\n"
 
+    def test_median_rounding_to_the_offset_exits_one(self, pipeline, tmp_path, capsys):
+        # every Weibull scale at its floor, far below TIME_OFFSET: with shape
+        # 5 each component's median given t > TIME_OFFSET rounds to it, and
+        # pred_time to 0, which predict rejects as it rejects a non-finite one
+        params, stats, meta = load_checkpoint(pipeline["ckpt"])
+        params.tensors["surv.betas"][:, 0] = -1e3
+        ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "p.csv"
+        save_checkpoint(ModelParams(params.tensors, 5.0), stats, meta, ckpt)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", ckpt,
+                     "--data", os.path.join(pipeline["data"], "test.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: row 0: non-finite cluster "
+                                           f"posterior or pred_time 0.0\n")
+        assert not out.exists()
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_flipped_checkpoint_bytes_exit_cleanly(self, pipeline, data):
@@ -642,6 +658,10 @@ class TestCliErrors:
         "non_numeric_pred_time": ("row_id,cluster,pred_time\n0,0,1.0\n1,1,soon\n",
                                   "row 1: non-numeric cell"),
         "missing_column": ("row_id,pred_time\n0,1.0\n", "missing column 'cluster'"),
+        "repeated_column": ("row_id,cluster,pred_time,cluster\n0,0,1.0,1\n",
+                            "repeated column 'cluster'"),
+        "long_row": ("row_id,cluster,pred_time\n0,0,1.0\n1,0,1.0,7,8\n",
+                     "row 1: expected 3 cells, got 5"),
     }
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED_PREDICTIONS))
@@ -663,6 +683,7 @@ class TestCliErrors:
     # read block than the first holds: (cells, header) -> edited row or header.
     DATA_FAULTS = {
         "extra_cell": lambda cells, header: (cells + ["7"], header),
+        "missing_cell": lambda cells, header: (cells[1:], header),
         "event_5": lambda cells, header: (cells[:-2] + ["5", cells[-1]], header),
         "zero_time": lambda cells, header: (cells[:-3] + ["0"] + cells[-2:], header),
         "non_integer_cluster": lambda cells, header: (cells[:-1] + ["1.5"], header),
@@ -716,6 +737,43 @@ class TestCliErrors:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "row 3: pred_time must be finite and positive" in err
+
+
+class TestPredictedTimes:
+    """predict writes a positive pred_time or exits 1 naming the row."""
+
+    def run(self, tmp_path, simulate_cfg, train_cfg):
+        data, ckpt = tmp_path / "d", str(tmp_path / "m.ckpt")
+        assert main(["simulate", "--kind", "synthetic", "--out", str(data),
+                     "--config", write_config(tmp_path, simulate_cfg, "sim.cfg")]) == 0
+        assert main(["train", "--data", str(data / "train.csv"), "--out", ckpt,
+                     "--config", write_config(tmp_path, train_cfg, "train.cfg")]) == 0
+        return main(["predict", "--checkpoint", ckpt, "--data", str(data / "test.csv"),
+                     "--out", str(tmp_path / "pred.csv")])
+
+    def test_medians_below_the_offset_stay_positive(self, tmp_path, capsys):
+        # this fit's time-free medians of two test rows lie below
+        # TIME_OFFSET, where the unconditioned median gave pred_time -0.057
+        cfg = "num_samples = 3000\nnum_features = 50\nseed = 0\nepochs = 30\n"
+        assert self.run(tmp_path, cfg, cfg) == 0
+        table = np.loadtxt(tmp_path / "pred.csv", delimiter=",", skiprows=1)
+        header = (tmp_path / "pred.csv").read_text().split("\n", 1)[0].split(",")
+        assert table[:, header.index("pred_time")].min() > 0
+        assert main(["evaluate", "--predictions", str(tmp_path / "pred.csv"),
+                     "--data", str(tmp_path / "d" / "test.csv"),
+                     "--out", str(tmp_path / "report.txt")]) == 0
+
+    def test_underflowing_shape_exits_one(self, tmp_path, capsys):
+        # weibull_shape = 1e-300 underflowed the unconditioned median to 0,
+        # and predict wrote pred_time -0.394; the conditioned one overflows
+        code = self.run(tmp_path, "num_samples = 3000\nnum_features = 100\nseed = 3\n",
+                        "epochs = 1\nweibull_shape = 1e-300\n")
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("notice:")]
+        assert code == 1
+        assert errors == [f"error: {tmp_path / 'm.ckpt'}: row 0: non-finite cluster "
+                          f"posterior or pred_time inf"]
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import save_csv_brute
+from oracles import read_table_brute, save_csv_brute
 
 from survmix import datagen
 from survmix.datagen import (
@@ -313,10 +313,11 @@ class TestReadTable:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_used_columns_read_as_full_read(self, tmp_path_factory, data):
-        # A read of some columns returns the full read's values for them,
-        # fails only where the full read fails, and with the full read's
-        # message when its first bad row is of the wrong width or holds
-        # its bad cells in used columns alone.
+        # A read of some columns, or of all, returns the brute-force read's
+        # values or its message. A read of some columns returns the full
+        # read's values for them, fails only where the full read fails, and
+        # with the full read's message when its first bad row is of the
+        # wrong width or holds its bad cells in used columns alone.
         width = data.draw(st.integers(1, 5), label="width")
         row = st.lists(CELLS, min_size=width, max_size=width)
         rows = data.draw(st.lists(st.one_of(row, row, st.lists(CELLS, max_size=width + 2)),
@@ -326,21 +327,34 @@ class TestReadTable:
         integers = data.draw(st.lists(st.sampled_from(columns), unique=True), label="integers")
         block = data.draw(st.integers(1, 3 * width), label="cells per read block")
         path = tmp_path_factory.getbasetemp() / "table.csv"
-        path.write_text("".join(",".join(cells) + "\n"
-                                for cells in [[f"c{j}" for j in range(width)], *rows]))
+        header = [f"c{j}" for j in range(width)]
+        path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
 
         def read(names):
             def check_header(header):
                 return [header[j] for j in names], [header[j] for j in integers]
             try:
-                return datagen._read_table(path, check_header)
+                got = datagen._read_table(path, check_header)
             except FormatError as exc:
-                return exc
+                got = exc
+            expected = read_table_brute(path, [header[j] for j in names],
+                                        [header[j] for j in integers])
+            if isinstance(expected, str):
+                assert str(got) == expected
+            else:
+                assert not isinstance(got, FormatError), got
+                assert got[0].dtype == expected[0].dtype
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].keys() == expected[1].keys()
+                for name, values in got[1].items():
+                    assert values.dtype == expected[1][name].dtype
+                    assert values.tobytes() == expected[1][name].tobytes()
+            return expected
 
         with mock.patch.object(datagen, "_BLOCK_CELLS", block):
             full, used = read(range(width)), read(columns)
-        if not isinstance(full, FormatError):
-            assert not isinstance(used, FormatError), used
+        if not isinstance(full, str):
+            assert not isinstance(used, str), used
             floats, ints = used
             assert floats.shape == (len(rows), len(columns))
             assert floats.tobytes() == full[0][:, columns].tobytes()
@@ -349,11 +363,18 @@ class TestReadTable:
                 assert values.dtype == full[1][name].dtype
                 assert values.tobytes() == full[1][name].tobytes()
             return
-        i, fault = re.search(r": row (\d+): (expected|non-numeric)", str(full)).groups()
+        i, fault = re.search(r": row (\d+): (expected|non-numeric)", full).groups()
         cells = rows[int(i)]
         if fault == "expected" or all(parses_as_float(cells[j])
                                       for j in range(width) if j not in columns):
-            assert str(used) == str(full)
+            assert used == full
+
+    def test_repeated_header_name_is_rejected(self, tmp_path):
+        # whichever of the two columns a reader took, the other is lost
+        path = tmp_path / "table.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(FormatError, match=r"table.csv: repeated column 'a'$"):
+            datagen._read_table(path, lambda header: (["b"], []))
 
 
 class TestPreprocess:

@@ -5,7 +5,13 @@ import pytest
 
 from oracles import finite_diff_grad, fit_brute
 from survmix import model
-from survmix.datagen import SurvivalDataset, SyntheticConfig, gen_synthetic, preprocess
+from survmix.datagen import (
+    TIME_OFFSET,
+    SurvivalDataset,
+    SyntheticConfig,
+    gen_synthetic,
+    preprocess,
+)
 from survmix.errors import ConfigError, DomainError, ShapeError, TrainingError
 from survmix.model import (
     LOGVAR_MAX,
@@ -353,6 +359,28 @@ class TestFitPredict:
         with_t = predict(params, data.features, data.times, data.events)
         without_t = predict(params, data.features)
         np.testing.assert_array_equal(with_t.median_time, without_t.median_time)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0])
+    def test_predicted_median_is_conditioned_on_the_offset(self, shape):
+        # one component's median given t > TIME_OFFSET = a halves S(t) / S(a)
+        data, a = self.small_data(), TIME_OFFSET
+        params, _ = fit(data, tiny_config(latent_dim=4, epochs=2, batch_size=64,
+                                          num_clusters=1, weibull_shape=shape))
+        pred = predict(params, data.features)
+        scale = model._latent_scores(params, pred.latent).scale[:, 0]
+        np.testing.assert_allclose((pred.median_time / scale) ** shape - (a / scale) ** shape,
+                                   np.log(2.0), rtol=1e-12)
+        assert np.all(pred.median_time > a)
+
+    def test_unit_shape_median_is_offset_plus_weibull_median(self):
+        # for shape 1 it is lam ln 2 + a, so inverse_time_transform gives
+        # the posterior-weighted lam ln 2 max_time and ranks rows as before
+        data = self.small_data()
+        params, _ = fit(data, tiny_config(latent_dim=4, epochs=2, batch_size=64))
+        pred = predict(params, data.features)
+        scale = model._latent_scores(params, pred.latent).scale
+        np.testing.assert_allclose(pred.median_time - TIME_OFFSET,
+                                   (pred.posterior * scale).sum(axis=1) * np.log(2.0), rtol=1e-12)
 
     def test_posterior_shape_and_labels(self):
         data = self.small_data()
