@@ -1,10 +1,12 @@
 """Command-line interface and checkpoint persistence.
 
-Subcommands: simulate | train | predict | evaluate | km-export. Run
+Subcommands: simulate | train | predict | evaluate | km-export. Each
+subparser sets ``run``, which looks its cmd_* up in this module when the
+command runs, so main calls whatever cmd_* the module then holds. Run
 configuration is flat ``key = value`` text whose keys, each set at most
 once, are the fields of the run-config dataclasses plus test_fraction,
-with those dataclasses' defaults; checkpoints are a small binary
-container of named float64 tensors.
+with those dataclasses' defaults; building the dataclass checks the
+values. Checkpoints are a small binary container of named float64 tensors.
 """
 
 from __future__ import annotations
@@ -111,12 +113,10 @@ def _value(values, key, kind):
 
 
 def _from_config(cls, values):
-    """A validated cls whose fields are the run-config values of the same
-    name, each parsed like the field's default."""
-    config = cls(**{f.name: _value(values, f.name, type(f.default))
-                    for f in fields(cls) if f.name in values})
-    config.validate()
-    return config
+    """The cls whose fields are the run-config values of the same name,
+    each parsed like the field's default; building it checks the values."""
+    return cls(**{f.name: _value(values, f.name, type(f.default))
+                  for f in fields(cls) if f.name in values})
 
 
 def train_config_from(values):
@@ -356,14 +356,8 @@ def _load_predictions(predictions_path, data_path):
 
 def cmd_evaluate(predictions_path, data_path, out_path):
     dataset, clusters, t_hat = _load_predictions(predictions_path, data_path)
-    report = metrics.evaluate_predictions(
-        dataset.times,
-        dataset.events,
-        t_hat=t_hat,
-        risk=-t_hat,
-        true_labels=dataset.labels,
-        pred_labels=clusters if dataset.labels is not None else None,
-    )
+    report = metrics.evaluate_predictions(dataset.times, dataset.events, t_hat=t_hat, risk=-t_hat,
+                                          true_labels=dataset.labels, pred_labels=clusters)
     with open(out_path, "w") as f:
         f.write(report.to_text())
 
@@ -390,44 +384,39 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(run=lambda a: cmd_simulate(a.kind, parse_config(a.config, a.seed), a.out))
 
     p = sub.add_parser("train", help="train a model on a CSV dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(run=lambda a: cmd_train(a.data, parse_config(a.config, a.seed), a.out))
 
     p = sub.add_parser("predict", help="predict clusters and survival times")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_predict(a.checkpoint, a.data, a.out))
 
     p = sub.add_parser("evaluate", help="score predictions against a dataset")
     p.add_argument("--predictions", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_evaluate(a.predictions, a.data, a.out))
 
     p = sub.add_parser("km-export", help="per-cluster Kaplan-Meier curves")
     p.add_argument("--predictions", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_km_export(a.predictions, a.data, a.out))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            cmd_simulate(args.kind, parse_config(args.config, args.seed), args.out)
-        elif args.command == "train":
-            cmd_train(args.data, parse_config(args.config, args.seed), args.out)
-        elif args.command == "predict":
-            cmd_predict(args.checkpoint, args.data, args.out)
-        elif args.command == "evaluate":
-            cmd_evaluate(args.predictions, args.data, args.out)
-        elif args.command == "km-export":
-            cmd_km_export(args.predictions, args.data, args.out)
+        args.run(args)
     except (SurvmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

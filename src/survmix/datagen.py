@@ -74,8 +74,10 @@ class SurvivalDataset:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
+    """Size, shape and seed of gen_synthetic's data; checked when built."""
+
     num_clusters: int = 3
     num_samples: int = 60000
     latent_dim: int = 16
@@ -86,7 +88,7 @@ class SyntheticConfig:
     cov_mode: str = "full"  # "full" | "diag": latent covariance reading
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.num_clusters, self.num_samples, self.latent_dim,
                self.num_features, self.hidden_units) < 1:
             raise ConfigError("all size parameters must be positive")
@@ -100,15 +102,17 @@ class SyntheticConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurvMnistConfig:
+    """Size, rates and seed of gen_survmnist's data; checked when built."""
+
     num_clusters: int = 5
     num_samples: int = 60000
     censoring_fraction: float = 0.3
     mean_survival: float = 365.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
         if not 1 <= self.num_clusters <= 10:
@@ -155,7 +159,6 @@ def gen_low_rank(m, n, seed):
 def gen_synthetic(config):
     """Tabular benchmark: Gaussian-mixture latents pushed through a random
     3-layer relu map, with cluster-specific linear Weibull survival."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     K, N, J, D = (config.num_clusters, config.num_samples,
                   config.latent_dim, config.num_features)
@@ -189,7 +192,10 @@ def gen_synthetic(config):
     betas = rng.uniform(-10.0, 10.0, size=(K, J + 1))
     lam = softplus((z * betas[c, 1:]).sum(axis=1) + betas[c, 0])
     lam = np.maximum(lam, 1e-8)
-    u = lam * rng.weibull(config.weibull_shape, size=N)
+    with np.errstate(over="ignore"):  # a small shape draws past the float range
+        u = lam * rng.weibull(config.weibull_shape, size=N)
+    if not np.isfinite(u).all():
+        raise ConfigError(f"weibull_shape = {config.weibull_shape} draws infinite survival times")
     u = np.maximum(u, 1e-300)
     events = (rng.random(N) >= config.censoring_fraction).astype(int)
     t = u.copy()
@@ -214,7 +220,6 @@ def gen_survmnist(config):
     Digits and features come from one generator seeded with config.seed,
     the survival part from a second one with the same seed.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n, K = config.num_samples, config.num_clusters
     digit_labels = rng.integers(0, 10, size=n)
@@ -229,10 +234,14 @@ def gen_survmnist(config):
     clusters = assignment[digit_labels]
 
     risk = rng.uniform(0.5, 15.0, size=K)
-    rate = np.exp(risk) / config.mean_survival
     a = rng.uniform(size=n)
     a = np.where(a <= 0.0, np.finfo(float).tiny, a)
-    u = -np.log(a) / rate[clusters]
+    with np.errstate(over="ignore"):  # a mean_survival far from 1 overflows rate or u
+        rate = np.exp(risk) / config.mean_survival
+        u = -np.log(a) / rate[clusters]
+    if not (np.isfinite(u) & (u > 0)).all():
+        raise ConfigError(f"mean_survival = {config.mean_survival} draws survival times "
+                          f"that are not finite and positive")
     q_cens = np.quantile(u, 1.0 - config.censoring_fraction)
     t_cens = rng.uniform(u.min(), q_cens)
     events = (u <= t_cens).astype(int)

@@ -12,7 +12,7 @@ the clustering accuracy builds the dense table its matching needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,11 +33,8 @@ class MetricsReport:
     ari: float | None = None
 
     def to_text(self):
-        lines = []
-        for name in ("ci", "rae_nc", "rae_c", "cal", "acc", "nmi", "ari"):
-            value = getattr(self, name)
-            lines.append(f"{name} = {'NA' if value is None else format(value, '.17g')}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name} = {'NA' if value is None else format(value, '.17g')}\n"
+                       for name, value in asdict(self).items())
 
 
 # Rows per base block of the concordance count: pairs inside a block are
@@ -187,21 +184,6 @@ def _assign_rows(cost):
             if row == start:
                 break
     return col_of
-
-
-def hungarian(cost):
-    """Minimum-cost assignment on a square matrix.
-
-    Returns (permutation, total cost) where permutation[i] is the column
-    assigned to row i.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ShapeError(f"cost matrix must be square, got {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise ShapeError("cost matrix must be finite")
-    perm = _assign_rows(cost)
-    return perm, float(cost[np.arange(len(perm)), perm].sum())
 
 
 def _cells(a, b):

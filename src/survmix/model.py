@@ -7,14 +7,15 @@ row and step; component responsibilities are recomputed from the
 current parameters every step and treated as fixed weights inside that
 step's gradient.
 
-The objective decomposes into five named terms: reconstruction, survival,
-clustering, prior, and variational entropy. ``elbo_grads`` is the one
-routine that computes it: encoder, reparameterization, decoder and, when
-survival times are given, the survival and mixture terms, followed by a
-single backward pass. One loop, ``_train``, runs it per batch and takes
-the Adam step: ``fit`` runs that loop on every trainable parameter and
-``pretrain_init`` on the encoder and decoder without times
-(reconstruction only). ``_latent_scores`` computes
+The objective decomposes into five named terms, the fields of
+``ElboTerms``: reconstruction, survival, clustering, prior, and
+variational entropy. ``elbo_grads`` is the one routine that computes it:
+encoder, reparameterization, decoder and, when survival times are given,
+the survival and mixture terms, followed by a single backward pass. One
+loop, ``_train``, runs it per batch and takes the Adam step: ``fit``
+runs that loop on every trainable parameter and ``pretrain_init`` on the
+encoder and decoder without times (reconstruction only), each under a
+TrainConfig checked when it was built. ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it.
 
@@ -31,7 +32,9 @@ gradients in place into one buffer laid out the same way, and the ascent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -61,9 +64,9 @@ LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 SCALE_FLOOR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything needed to reproduce one training run."""
+    """Everything needed to reproduce one training run; checked when built."""
 
     latent_dim: int = 16
     num_clusters: int = 3
@@ -78,7 +81,7 @@ class TrainConfig:
     enc_hidden: tuple = (128, 128)
     dec_hidden: tuple = (128, 128)
 
-    def validate(self):
+    def __post_init__(self):
         if self.latent_dim < 1 or self.num_clusters < 1:
             raise ConfigError("latent_dim and num_clusters must be >= 1")
         if self.batch_size < 1:
@@ -175,7 +178,6 @@ def _layout(tensors):
 
 
 def init_params(input_dim, config, rng):
-    config.validate()
     j, k = config.latent_dim, config.num_clusters
     tensors = {}
     for prefix, sizes in (("enc", [input_dim, *config.enc_hidden, 2 * j]),
@@ -279,17 +281,11 @@ class ElboTerms:
 
     @property
     def total(self):
-        return (
-            self.reconstruction
-            + self.survival
-            + self.clustering
-            + self.prior
-            + self.entropy
-        )
+        return reduce(add, astuple(self))  # left to right; sum() compensates from Python 3.12
 
     def check_finite(self):
-        for name in ("reconstruction", "survival", "clustering", "prior", "entropy"):
-            if not np.isfinite(getattr(self, name)):
+        for name, value in asdict(self).items():
+            if not np.isfinite(value):
                 raise TrainingError(f"non-finite ELBO term: {name}")
 
 
@@ -449,7 +445,6 @@ def fit(data, config, callback=None):
     Bernoulli log-likelihood has no upper bound: a DomainError names the
     first row and column outside it.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     X = np.asarray(data.features, dtype=float)
     t = np.asarray(data.times, dtype=float)

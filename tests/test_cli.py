@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survmix import cli
 from survmix.cli import (
     CHECKPOINT_MAGIC,
     CONFIG_DEFAULTS,
@@ -98,6 +99,20 @@ class TestConfigParsing:
         assert _from_config(cls, CONFIG_DEFAULTS) == replace(cls(), **settled)
         assert float(CONFIG_DEFAULTS["learning_rate"]) == 1e-3
 
+    @pytest.mark.parametrize("cls, key, bad", [
+        (TrainConfig, "learning_rate", -1.0),
+        (SyntheticConfig, "censoring_fraction", 1.0),
+        (SurvMnistConfig, "num_clusters", 11),
+    ])
+    def test_configs_are_checked_when_built_and_frozen(self, cls, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            cls(**{key: bad})
+        with pytest.raises(ConfigError, match=key):
+            replace(cls(), **{key: bad})
+        config = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, key, bad)
+
     def test_train_config_round_trip(self, tmp_path):
         values = parse_config(write_config(tmp_path))
         config = train_config_from(values)
@@ -142,6 +157,29 @@ class TestConfigParsing:
                       lambda v: _from_config(SurvMnistConfig, v)):
             with contextlib.suppress(ConfigError):
                 build(values)
+
+
+class TestDispatch:
+    """main calls each subcommand's cmd_* by its name in survmix.cli, so a
+    cmd_* rebound there (as the benchmark's tracer does) sees every call."""
+
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("simulate", "--kind survmnist --config CFG --out o --seed 7", ("survmnist", "VALUES", "o")),
+        ("train", "--data d.csv --config CFG --out m --seed 7", ("d.csv", "VALUES", "m")),
+        ("predict", "--checkpoint m --data d.csv --out p", ("m", "d.csv", "p")),
+        ("evaluate", "--predictions p --data d.csv --out r", ("p", "d.csv", "r")),
+        ("km-export", "--predictions p --data d.csv --out k", ("p", "d.csv", "k")),
+    ])
+    def test_each_command_calls_its_cmd(self, tmp_path, monkeypatch, capsys, command, flags,
+                                        expected):
+        cfg = write_config(tmp_path)
+        values = parse_config(cfg, 7)
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}",
+                            lambda *args: calls.append(args))
+        argv = [command] + [cfg if flag == "CFG" else flag for flag in flags.split()]
+        assert main(argv) == 0
+        assert calls == [tuple(values if arg == "VALUES" else arg for arg in expected)]
 
 
 class TestCheckpoint:
@@ -520,6 +558,9 @@ class TestCliErrors:
         ("survmnist", "mean_survival = inf", "mean_survival"),
         ("survmnist", "num_samples = 0", "num_samples"),
         ("survmnist", "num_samples = -5", "num_samples"),
+        # the drawn times overflow: infinite, or 0 from infinite rates
+        ("synthetic", "weibull_shape = 1e-300", "weibull_shape = 1e-300"),
+        ("survmnist", "mean_survival = 1e-310", "mean_survival = 1e-310"),
         ("train", "learning_rate = -1", "learning_rate"),
         ("train", "learning_rate = nan", "learning_rate"),
         ("train", "epochs = -2", "epochs"),

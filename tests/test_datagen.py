@@ -149,6 +149,14 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             gen_synthetic(SyntheticConfig(censoring_fraction=1.0))
 
+    @pytest.mark.parametrize("shape, features", [(1e-300, 100), (0.0026, 20)])
+    def test_infinite_times_name_weibull_shape(self, shape, features):
+        # draws past the float range, or finite draws whose scaling overflows
+        config = SyntheticConfig(num_samples=3000, num_features=features,
+                                 weibull_shape=shape, seed=3)
+        with pytest.raises(ConfigError, match=f"^weibull_shape = {shape} draws infinite"):
+            gen_synthetic(config)
+
 
 class TestSurvMnist:
     def make(self, seed=0, n=2000, k=5, censor=0.3):
@@ -197,7 +205,14 @@ class TestSurvMnist:
 
     def test_too_many_clusters(self):
         with pytest.raises(ConfigError):
-            SurvMnistConfig(num_clusters=11).validate()
+            SurvMnistConfig(num_clusters=11)
+
+    @pytest.mark.parametrize("mean_survival", [1e-310, 1e308])
+    def test_out_of_range_times_name_mean_survival(self, mean_survival):
+        # the rates overflow (times 0) or the times do (inf), without warnings
+        config = SurvMnistConfig(num_samples=2000, mean_survival=mean_survival)
+        with pytest.raises(ConfigError, match=re.escape(f"mean_survival = {mean_survival} draws")):
+            gen_survmnist(config)
 
 
 class TestCsv:

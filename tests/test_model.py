@@ -65,11 +65,11 @@ class TestInit:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            tiny_config(recon_loss="huber").validate()
+            tiny_config(recon_loss="huber")
         with pytest.raises(ConfigError):
-            tiny_config(weibull_shape=0.0).validate()
+            tiny_config(weibull_shape=0.0)
         with pytest.raises(ConfigError):
-            tiny_config(latent_dim=0).validate()
+            tiny_config(latent_dim=0)
 
 
 class TestEncodeReparam:
