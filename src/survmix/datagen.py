@@ -42,9 +42,12 @@ class SurvivalDataset:
         events = np.asarray(self.events)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
-        n = self.features.shape[0]
-        if len(self.times) != n or len(events) != n:
-            raise ShapeError("features, times, and events must have equal length")
+        if self.features.ndim != 2:
+            raise ShapeError(f"features must be 2-d, got shape {self.features.shape}")
+        for name, a in (("times", self.times), ("events", events), ("labels", self.labels)):
+            if a is not None and a.shape != self.features.shape[:1]:
+                raise ShapeError(f"{name} must have shape {self.features.shape[:1]} to match "
+                                 f"the features, got {a.shape}")
         # Each check names its first offending row, counting from 0.
         if not (np.isfinite(self.features).all() and np.isfinite(self.times).all()):
             table = np.column_stack([self.features, self.times])

@@ -19,6 +19,11 @@ TrainConfig checked when it was built. ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it.
 
+One table, ``_shapes``, maps the sizes (D features, J latents, K
+clusters, hidden widths) to every tensor's name and shape: ``init_params``
+draws from it, ``fit`` sizes its memory estimate from it, and a
+checkpoint's tensors are checked against it.
+
 Every parameter lives in one store, ``ModelParams``: a name -> array
 dict whose construction checks that the arrays form one model and copies
 them into one contiguous float64 vector, ``ModelParams.vector``, in
@@ -32,6 +37,8 @@ gradients in place into one buffer laid out the same way, and the ascent
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import asdict, astuple, dataclass, field
 from functools import reduce
 from operator import add
@@ -53,7 +60,6 @@ from .nnet import (
     AdamState,
     DenseNet,
     adam_step,
-    init_dense_net,
     net_backward,
     net_forward,
     pack,
@@ -151,6 +157,17 @@ def _dense_net(tensors, prefix):
     return DenseNet(arrays[0::2], arrays[1::2])
 
 
+def _shapes(d, j, k, enc_hidden, dec_hidden):
+    """Every tensor's shape by name, in vector order: the one map from D features, J
+    latents, K clusters and the hidden widths to the model (encoder D..2J, decoder J..D)."""
+    shapes = {}
+    for prefix, widths in (("enc", (d, *enc_hidden, 2 * j)), ("dec", (j, *dec_hidden, d))):
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            shapes[f"{prefix}.W{i}"], shapes[f"{prefix}.b{i}"] = (fan_in, fan_out), (fan_out,)
+    return shapes | {"surv.betas": (k, j + 1), "mix.logits": (k,), "mix.means": (k, j),
+                     "mix.log_vars": (k, j)}
+
+
 def _layout(tensors):
     """The model's tensors in vector order. ShapeError names the first one
     that does not fit (D features from enc.W0, K clusters and J latents
@@ -161,15 +178,9 @@ def _layout(tensors):
         return (np.shape(tensors[name]) + (-1,) * rank)[:rank]
 
     (d,), (k, j) = dims("enc.W0", 1), dims("mix.means", 2)
-    expected = {}
-    for prefix, width, out in (("enc", d, 2 * j), ("dec", j, d)):
-        n = sum(name.startswith(f"{prefix}.W") for name in tensors) or 1
-        for i in range(n):
-            width_out = out if i == n - 1 else dims(f"{prefix}.b{i}", 1)[0]
-            expected[f"{prefix}.W{i}"], expected[f"{prefix}.b{i}"] = (width, width_out), (width_out,)
-            width = width_out
-    expected.update({"surv.betas": (k, j + 1), "mix.logits": (k,), "mix.means": (k, j),
-                     "mix.log_vars": (k, j)})
+    depth = {p: sum(name.startswith(f"{p}.W") for name in tensors) for p in ("enc", "dec")}
+    hidden = {p: [dims(f"{p}.b{i}", 1)[0] for i in range(n - 1)] for p, n in depth.items()}
+    expected = _shapes(d, j, k, hidden["enc"], hidden["dec"])
     for name, shape in expected.items():
         if np.shape(tensors[name]) != shape:
             raise ShapeError(f"tensor {name!r} has shape {np.shape(tensors[name])}, "
@@ -178,16 +189,16 @@ def _layout(tensors):
 
 
 def init_params(input_dim, config, rng):
-    j, k = config.latent_dim, config.num_clusters
+    """Draws Glorot-uniform weights layer by layer (encoder, then decoder), then mix.means
+    ~ N(0, 1), then surv.betas ~ N(0, 0.01^2); every other tensor starts at zero."""
+    shapes = _shapes(input_dim, config.latent_dim, config.num_clusters,
+                     config.enc_hidden, config.dec_hidden)
     tensors = {}
-    for prefix, sizes in (("enc", [input_dim, *config.enc_hidden, 2 * j]),
-                          ("dec", [j, *config.dec_hidden, input_dim])):
-        net = init_dense_net(sizes, rng)
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            tensors[f"{prefix}.W{i}"], tensors[f"{prefix}.b{i}"] = w, b
-    tensors["mix.means"] = rng.standard_normal((k, j))
-    tensors["surv.betas"] = 0.01 * rng.standard_normal((k, j + 1))
-    tensors["mix.logits"], tensors["mix.log_vars"] = np.zeros(k), np.zeros((k, j))
+    for name, shape in shapes.items():
+        limit = np.sqrt(6.0 / sum(shape))
+        tensors[name] = rng.uniform(-limit, limit, shape) if ".W" in name else np.zeros(shape)
+    tensors["mix.means"] = rng.standard_normal(shapes["mix.means"])
+    tensors["surv.betas"] = 0.01 * rng.standard_normal(shapes["surv.betas"])
     return ModelParams(tensors, config.weibull_shape)
 
 
@@ -436,6 +447,18 @@ def pretrain_init(params, X, config, rng):
     return params
 
 
+def _available_memory():
+    """Physical memory in bytes, or the cgroup's limit (v2, else v1) when readable and lower."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            with open(path) as f:
+                return min(physical, int(f.read()))
+        except (OSError, ValueError):  # absent, or "max": no limit
+            pass
+    return physical
+
+
 def fit(data, config, callback=None):
     """Train on a preprocessed dataset; returns (params, per-epoch trace).
 
@@ -443,7 +466,9 @@ def fit(data, config, callback=None):
     batch objective per epoch; callback(epoch, value) is called after each.
     With recon_loss "bce" every feature must lie in [0, 1], else the
     Bernoulli log-likelihood has no upper bound: a DomainError names the
-    first row and column outside it.
+    first row and column outside it. A ConfigError names the sizes when the
+    parameters (with their gradient and two Adam moments) and one batch's
+    layer outputs and deltas would exceed the memory available.
     """
     rng = np.random.default_rng(config.seed)
     X = np.asarray(data.features, dtype=float)
@@ -455,6 +480,15 @@ def fit(data, config, callback=None):
         for i, j in np.argwhere(~((X >= 0.0) & (X <= 1.0)))[:1]:
             raise DomainError(f"row {i}: feature_{j} is {X[i, j]}, but recon_loss bce "
                               f"needs features in [0, 1]")
+    shapes = _shapes(X.shape[1], config.latent_dim, config.num_clusters, config.enc_hidden,
+                     config.dec_hidden)
+    outputs = min(len(X), config.batch_size) * sum(s[1] for n, s in shapes.items() if ".W" in n)
+    need, have = 8 * (4 * sum(map(math.prod, shapes.values())) + 2 * outputs), _available_memory()
+    if need > have:
+        raise ConfigError(
+            f"latent_dim {config.latent_dim}, num_clusters {config.num_clusters}, enc_hidden "
+            f"{config.enc_hidden} and dec_hidden {config.dec_hidden} need about "
+            f"{need / 2**30:.1f} GiB to train, more than the {have / 2**30:.1f} GiB available")
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
     trace = _train(params, params.tensors, X, t, event, config.epochs, config, rng, callback)

@@ -7,7 +7,8 @@ add and relu run in place on the GEMM result); the analytic backward
 pass reads the relu mask back from it, writes the parameter gradients
 into the caller's arrays and can skip the input gradient.
 
-A network only holds arrays; it owns no storage. ``pack`` copies a
+A network only holds arrays; it owns no storage and draws no weights
+(``model.init_params`` does). ``pack`` copies a
 name->array dict into one contiguous float64 vector and ``views`` lays
 such a dict out over any vector of the same length (a gradient buffer,
 say), as reshaped views: ``model.ModelParams`` keeps every parameter in
@@ -39,23 +40,12 @@ class DenseNet:
     weights[i] has shape (fan_in, fan_out); layer widths must chain.
     """
 
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    weights: list
+    biases: list
 
     @property
     def input_dim(self):
         return self.weights[0].shape[0]
-
-
-def init_dense_net(layer_sizes, rng):
-    """Glorot-uniform weights, zero biases; layer_sizes is the full width
-    chain [in, h1, ..., out]."""
-    net = DenseNet()
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        net.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        net.biases.append(np.zeros(fan_out))
-    return net
 
 
 def net_forward(net, X):

@@ -691,6 +691,27 @@ class TestCliErrors:
         assert "RuntimeWarning" not in done.stderr
         assert len(errors) == 1 and errors[0].startswith("error: epoch 0, batch "), errors
 
+    def test_train_larger_than_memory_names_the_sizes(self, pipeline, tmp_path):
+        # refused from the shapes before any parameter is allocated; the
+        # child's address space is capped at 2 GiB, so a missing check ends
+        # in MemoryError, not in a kill by the kernel
+        cfg = write_config(tmp_path, FAST_TRAIN.replace("latent_dim = 3", f"latent_dim = {10**12}"))
+        capped = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                  "from survmix.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", capped, "train", "--config", cfg,
+             "--data", os.path.join(pipeline["data"], "train.csv"),
+             "--out", str(tmp_path / "m.ckpt")],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=120)
+        errors = [line for line in done.stderr.splitlines() if not line.startswith("notice:")]
+        assert done.returncode == 1
+        assert len(errors) == 1, errors
+        assert errors[0].startswith(f"error: latent_dim {10**12}, num_clusters 2, "), errors
+        assert not (tmp_path / "m.ckpt").exists()
+
     MALFORMED_PREDICTIONS = {
         "non_integer_cluster": ("row_id,cluster,pred_time\n0,x,1.0\n",
                                 "row 0: non-numeric cell"),

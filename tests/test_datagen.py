@@ -40,6 +40,17 @@ class TestDatasetContainer:
         with pytest.raises(ShapeError):
             SurvivalDataset(np.zeros((3, 2)), np.ones(2), np.zeros(2, dtype=int))
 
+    def test_one_dimensional_features_rejected(self):
+        # unchecked, fit on these rows would end in a bare IndexError
+        with pytest.raises(ShapeError, match=r"features must be 2-d, got shape \(5,\)"):
+            SurvivalDataset(np.ones(5), np.ones(5), np.ones(5, dtype=int))
+
+    def test_label_length_mismatch_rejected(self):
+        # unchecked, save_csv on these rows would end in a NumPy ValueError
+        with pytest.raises(ShapeError, match=r"labels must have shape \(5,\) .*got \(3,\)"):
+            SurvivalDataset(np.ones((5, 2)), np.ones(5), np.ones(5, dtype=int),
+                            labels=np.zeros(3, dtype=int))
+
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ConfigError):
             SurvivalDataset(np.zeros((2, 2)), np.array([1.0, 0.0]), np.zeros(2, dtype=int))

@@ -63,6 +63,33 @@ class TestInit:
         assert params.encoder.weights[-1].shape[1] == 6  # 2 * latent_dim
         assert params.decoder.weights[0].shape[0] == 3
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"enc_hidden": (), "dec_hidden": ()}, {"num_clusters": 1},
+        {"latent_dim": 1, "enc_hidden": (4, 7, 2), "dec_hidden": ()},
+    ], ids=["one_hidden_layer", "no_hidden_layers", "one_cluster", "uneven_depths"])
+    def test_draw_sequence(self, kwargs):
+        # Glorot-uniform weights layer by layer, encoder then decoder, then
+        # mix.means and surv.betas; the bench digests and the criteria
+        # seeds depend on this order
+        config, d = tiny_config(**kwargs), 5
+        j, k = config.latent_dim, config.num_clusters
+        rng = np.random.default_rng(23)
+        expected = {}
+        for prefix, widths in (("enc", [d, *config.enc_hidden, 2 * j]),
+                               ("dec", [j, *config.dec_hidden, d])):
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                expected[f"{prefix}.W{i}"] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+                expected[f"{prefix}.b{i}"] = np.zeros(fan_out)
+        means = rng.standard_normal((k, j))
+        expected["surv.betas"] = 0.01 * rng.standard_normal((k, j + 1))
+        expected.update({"mix.logits": np.zeros(k), "mix.means": means,
+                         "mix.log_vars": np.zeros((k, j))})
+        params = init_params(d, config, np.random.default_rng(23))
+        assert list(params.tensors) == list(expected)
+        flat = np.concatenate([a.ravel() for a in expected.values()])
+        assert params.vector.tobytes() == flat.tobytes()
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(recon_loss="huber")

@@ -10,10 +10,16 @@ from survmix.nnet import (
     AdamState,
     DenseNet,
     adam_step,
-    init_dense_net,
     net_backward,
     net_forward,
 )
+
+
+def random_net(widths, rng):
+    # Glorot-uniform weights and zero biases for the width chain [in, ..., out]
+    limits = [np.sqrt(6.0 / (a + b)) for a, b in zip(widths, widths[1:])]
+    weights = [rng.uniform(-lim, lim, (a, b)) for lim, a, b in zip(limits, widths, widths[1:])]
+    return DenseNet(weights, [np.zeros(b) for b in widths[1:]])
 
 
 def identity_layer_net(d):
@@ -51,7 +57,7 @@ class TestForward:
     def test_stack_is_input_and_each_layer_output(self):
         # one array per layer (after its relu) plus the input: depth + 1
         rng = np.random.default_rng(2)
-        net = init_dense_net([4, 5, 6, 3], rng)
+        net = random_net([4, 5, 6, 3], rng)
         X = rng.standard_normal((7, 4))
         out, posts = net_forward(net, X)
         assert len(posts) == len(net.weights) + 1 == 4
@@ -71,7 +77,7 @@ class TestForward:
 
     def test_two_layer_matches_scalar_recomputation(self):
         rng = np.random.default_rng(3)
-        net = init_dense_net([2, 3, 1], rng)
+        net = random_net([2, 3, 1], rng)
         x = np.array([[0.4, -1.2]])
         out, _ = net_forward(net, x)
         # scalar re-evaluation
@@ -87,7 +93,7 @@ class TestForward:
 
     def test_batch_equals_rowwise(self):
         rng = np.random.default_rng(0)
-        net = init_dense_net([3, 5, 2], rng)
+        net = random_net([3, 5, 2], rng)
         X = rng.standard_normal((7, 3))
         batch, _ = net_forward(net, X)
         rows = np.vstack([net_forward(net, X[i : i + 1])[0] for i in range(7)])
@@ -120,7 +126,7 @@ class TestBackward:
 
     def test_without_input_grad_same_parameter_grads(self):
         rng = np.random.default_rng(4)
-        net = init_dense_net([5, 4, 3], rng)
+        net = random_net([5, 4, 3], rng)
         _, posts = net_forward(net, rng.standard_normal((6, 5)))
         upstream = rng.standard_normal((6, 3))
         wg, bg, dx = backward(net, posts, upstream)
@@ -131,7 +137,7 @@ class TestBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        net = init_dense_net([3, 4, 2], rng)
+        net = random_net([3, 4, 2], rng)
         X = rng.standard_normal((5, 3))
         target = rng.standard_normal((5, 2))
 
@@ -155,7 +161,7 @@ class TestBackward:
         # with one layer the weight gradient reads upstream itself; deeper,
         # the relu mask is applied in place to later deltas only
         rng = np.random.default_rng(6)
-        net = init_dense_net(widths, rng)
+        net = random_net(widths, rng)
         _, posts = net_forward(net, rng.standard_normal((6, 4)))
         upstream = rng.standard_normal((6, 3))
         before = [a.copy() for a in (upstream, *posts)]
@@ -168,7 +174,7 @@ class TestBackward:
         # pre-activations give, so the gradients are those of the
         # textbook pass that keeps the pre-activations, bit for bit
         rng = np.random.default_rng(7)
-        net = init_dense_net([5, 4, 4, 3], rng)
+        net = random_net([5, 4, 4, 3], rng)
         X = rng.standard_normal((6, 5))
         X[0, :] = 0.0  # exact zeros in the first hidden layer's input
         upstream = rng.standard_normal((6, 3))
@@ -196,7 +202,7 @@ class TestBackward:
 )
 def test_backward_matches_finite_diff_property(seed, widths):
     rng = np.random.default_rng(seed)
-    net = init_dense_net(widths, rng)
+    net = random_net(widths, rng)
     X = rng.standard_normal((3, widths[0]))
     upstream_seed = rng.standard_normal((3, widths[-1]))
 
