@@ -6,8 +6,8 @@ accuracy, NMI, ARI, and the Kaplan-Meier product-limit estimator.
 
 Every score that counts pairs or cells does so with array sorts and
 exact integer counts in O(N) memory: the concordance index by sorted
-doubling blocks, NMI and ARI from the nonzero contingency cells. Only
-the clustering accuracy builds the dense table its matching needs.
+doubling blocks, the clustering accuracy, NMI and ARI from the nonzero
+contingency cells.
 """
 
 from __future__ import annotations
@@ -142,17 +142,17 @@ def calibration_slope(t, t_hat, event):
     return float(obs @ pred / denom)
 
 
-def _assign_rows(cost):
-    """Minimum-cost matching of each row of cost (n, m), n <= m, to its own
-    column; returns cols with cols[i] the column of row i.
+def _assign_rows(cost_row, n, m):
+    """Minimum-cost matching of each of n rows to its own of m >= n
+    columns, cost_row(i) giving row i's m costs (a dense cost array passes
+    cost.__getitem__); returns cols with cols[i] the column of row i.
 
     The Hungarian method in its shortest augmenting path form, with row
     and column potentials (Jonker-Volgenant): rows join one at a time, each
     by a Dijkstra search over the reduced costs to the nearest free column,
-    and the matching is flipped along that path. n augmentations of at most
-    n steps over m columns: O(n^2 m) time, O(m) memory beyond the input.
+    and the matching is flipped along that path. n searches of at most n
+    steps, one cost row each: O(n^2 m) time, O(m) memory beyond the cells.
     """
-    n, m = cost.shape
     u = np.zeros(n)
     v = np.zeros(m)
     row_of = np.full(m, -1)
@@ -163,7 +163,7 @@ def _assign_rows(cost):
         reached = np.zeros(m, dtype=bool)  # matched columns passed so far
         row, low = start, 0.0
         while True:
-            reduced = cost[row] - (u[row] - low) - v
+            reduced = cost_row(row) - (u[row] - low) - v
             closer = (reduced < dist) & ~reached
             dist[closer] = reduced[closer]
             prev[closer] = row
@@ -205,18 +205,18 @@ def _cells(a, b):
 
 
 def clustering_accuracy(true_labels, pred_labels):
-    """Matched fraction under the optimal one-to-one label matching.
-
-    The contingency table is matched as it is, turned to have no more rows
-    than columns, so U true and K predicted labels take O(U K) memory.
-    """
+    """Matched fraction under the optimal one-to-one label matching, found over
+    the nonzero cells, the fewer labels as rows: O(N) memory for any label counts."""
     rows, cols, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
-    table = np.zeros((len(row_totals), len(col_totals)), dtype=counts.dtype)
-    table[rows, cols] = counts
-    if table.shape[0] > table.shape[1]:
-        table = table.T
-    match = _assign_rows(-table.astype(float))
-    return float(table[np.arange(len(match)), match].sum() / table.sum())
+    if len(row_totals) > len(col_totals):
+        rows, cols, row_totals, col_totals = cols, rows, col_totals, row_totals
+    order = np.argsort(rows, kind="stable")
+    rows, cols, counts = rows[order], cols[order], counts[order]
+    n, m = len(row_totals), len(col_totals)
+    at = np.searchsorted(rows, np.arange(n + 1))  # row i's cells: at[i]:at[i + 1]
+    match = _assign_rows(
+        lambda i: np.bincount(cols[at[i]:at[i + 1]], -counts[at[i]:at[i + 1]], minlength=m), n, m)
+    return float(counts[match[rows] == cols].sum() / counts.sum())
 
 
 def nmi(true_labels, pred_labels):

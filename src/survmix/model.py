@@ -459,6 +459,15 @@ def _available_memory():
     return physical
 
 
+def check_memory(need, purpose, **sizes):
+    """ConfigError naming the sizes when need bytes to purpose exceed the memory available."""
+    if need > (have := _available_memory()):
+        named = [f"{key} {value}" for key, value in sizes.items()]
+        raise ConfigError(f"{', '.join(named[:-1])} and {named[-1]} need about "
+                          f"{need / 2**30:.1f} GiB to {purpose}, more than the "
+                          f"{have / 2**30:.1f} GiB available")
+
+
 def fit(data, config, callback=None):
     """Train on a preprocessed dataset; returns (params, per-epoch trace).
 
@@ -483,12 +492,9 @@ def fit(data, config, callback=None):
     shapes = _shapes(X.shape[1], config.latent_dim, config.num_clusters, config.enc_hidden,
                      config.dec_hidden)
     outputs = min(len(X), config.batch_size) * sum(s[1] for n, s in shapes.items() if ".W" in n)
-    need, have = 8 * (4 * sum(map(math.prod, shapes.values())) + 2 * outputs), _available_memory()
-    if need > have:
-        raise ConfigError(
-            f"latent_dim {config.latent_dim}, num_clusters {config.num_clusters}, enc_hidden "
-            f"{config.enc_hidden} and dec_hidden {config.dec_hidden} need about "
-            f"{need / 2**30:.1f} GiB to train, more than the {have / 2**30:.1f} GiB available")
+    check_memory(8 * (4 * sum(map(math.prod, shapes.values())) + 2 * outputs), "train",
+                 latent_dim=config.latent_dim, num_clusters=config.num_clusters,
+                 enc_hidden=config.enc_hidden, dec_hidden=config.dec_hidden)
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
     trace = _train(params, params.tensors, X, t, event, config.epochs, config, rng, callback)

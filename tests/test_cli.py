@@ -581,9 +581,10 @@ class TestCliErrors:
         # longer than a checkpoint string holds: rejected before training
         pytest.param("train", "learning_rate = 0.001" + "0" * 70_000, "learning_rate",
                      id="train-overlong-learning_rate"),
-        # sizes no 64-bit address space holds, so the allocation fails at once
-        ("synthetic", "num_samples = 100000000000000000", "out of memory"),
-        ("survmnist", "num_samples = 100000000000000000", "out of memory"),
+        # sizes beyond any memory: refused from the config before generating
+        *(pytest.param(kind, f"num_samples = {10**17}", f"num_samples {10**17}",
+                       id=f"{kind}-num_samples = {10**17}-out of memory")
+          for kind in ("synthetic", "survmnist")),
     ])
     def test_bad_config_value_exits_one(self, pipeline, tmp_path, capsys, command, line, word):
         # train gets real data, so a value validation lets through trains and exits 0;
@@ -692,25 +693,43 @@ class TestCliErrors:
         assert len(errors) == 1 and errors[0].startswith("error: epoch 0, batch "), errors
 
     def test_train_larger_than_memory_names_the_sizes(self, pipeline, tmp_path):
-        # refused from the shapes before any parameter is allocated; the
-        # child's address space is capped at 2 GiB, so a missing check ends
-        # in MemoryError, not in a kill by the kernel
+        # train, simulate and predict each refuse from the sizes before
+        # allocating; the child's address space is capped at 2 GiB, so a
+        # missing check ends in MemoryError, not in a kill by the kernel
         cfg = write_config(tmp_path, FAST_TRAIN.replace("latent_dim = 3", f"latent_dim = {10**12}"))
+        # a 2 MB checkpoint whose (N, K, J) residuals outgrow twice the physical memory
+        k = j = 300
+        rows = 2 * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (8 * k * j) + 1
+        params = init_params(2, TrainConfig(latent_dim=j, num_clusters=k, enc_hidden=(),
+                                            dec_hidden=()), np.random.default_rng(0))
+        save_checkpoint(params, PreprocessStats(1.0, np.zeros(2), np.ones(2)), {},
+                        str(tmp_path / "big.ckpt"))
+        save_csv(SurvivalDataset(np.zeros((rows, 2)), np.ones(rows), np.ones(rows, int)),
+                 str(tmp_path / "rows.csv"))
+        runs = {
+            "train": (["--config", cfg, "--data", os.path.join(pipeline["data"], "train.csv")],
+                      f"error: latent_dim {10**12}, num_clusters 2, "),
+            "simulate": (["--kind", "synthetic", "--config", cfg],
+                         f"error: num_clusters 2, num_samples 150, latent_dim {10**12}, "),
+            "predict": (["--checkpoint", str(tmp_path / "big.ckpt"),
+                         "--data", str(tmp_path / "rows.csv")],
+                        f"error: num_clusters {k}, latent_dim {j} and rows {rows} need about "),
+        }
         capped = ("import resource, sys; "
                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                   "from survmix.cli import main; sys.exit(main(sys.argv[1:]))")
-        done = subprocess.run(
-            [sys.executable, "-c", capped, "train", "--config", cfg,
-             "--data", os.path.join(pipeline["data"], "train.csv"),
-             "--out", str(tmp_path / "m.ckpt")],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-            capture_output=True, text=True, timeout=120)
-        errors = [line for line in done.stderr.splitlines() if not line.startswith("notice:")]
-        assert done.returncode == 1
-        assert len(errors) == 1, errors
-        assert errors[0].startswith(f"error: latent_dim {10**12}, num_clusters 2, "), errors
-        assert not (tmp_path / "m.ckpt").exists()
+        for command, (args, message) in runs.items():
+            out = tmp_path / f"{command}.out"
+            done = subprocess.run(
+                [sys.executable, "-c", capped, command, *args, "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                     "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+                capture_output=True, text=True, timeout=120)
+            errors = [line for line in done.stderr.splitlines() if not line.startswith("notice:")]
+            assert done.returncode == 1, command
+            assert len(errors) == 1, errors
+            assert errors[0].startswith(message), errors
+            assert not out.exists()
 
     MALFORMED_PREDICTIONS = {
         "non_integer_cluster": ("row_id,cluster,pred_time\n0,x,1.0\n",
