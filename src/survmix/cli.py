@@ -6,7 +6,8 @@ command runs, so main calls whatever cmd_* the module then holds. Run
 configuration is flat ``key = value`` text whose keys, each set at most
 once, are the fields of the run-config dataclasses plus test_fraction,
 with those dataclasses' defaults; building the dataclass checks the
-values. Checkpoints are a small binary container of named float64 tensors.
+values. Checkpoints are a binary container of named float64 tensors,
+format version 2; a file of any other version is rejected.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixEr
 from .model import ModelParams, TrainConfig
 
 CHECKPOINT_MAGIC = b"VDSC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # The run-config keys and their defaults: the fields of the generator and
 # training configs, a later class winning on a shared key (seed 42 and
@@ -116,7 +117,7 @@ def _value(values, key, kind):
             return tuple(int(v) for v in text.split(",") if v.strip())
         return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from None
+        raise ConfigError(f"bad configuration value for {key!r}: {exc}") from None
 
 
 def _from_config(cls, values):
@@ -200,10 +201,9 @@ def save_checkpoint(params, stats, config_values, path):
 
 def load_checkpoint(path):
     """Returns (ModelParams, PreprocessStats, config echo dict); the
-    tensors alone define both. Older files' entries stay in the echo and
-    are ignored, except that ``stats.feature_kind = binary``, whose stored
-    stats were never applied, loads mean 0 and std 1. Any malformed or
-    incomplete file raises FormatError."""
+    tensors alone define both. The file is read exactly as written: any
+    malformed or incomplete file, a repeated meta key or tensor name, or
+    a byte after the last tensor raises FormatError."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, path, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -216,11 +216,15 @@ def load_checkpoint(path):
             )
         meta = {}
         for _ in range(_read_u32(f, path, "meta count")):
-            key = _read_str(f, path)
+            at, key = f.tell(), _read_str(f, path)
+            if key in meta:
+                raise FormatError(f"{path}: meta key {key!r} repeated at byte {at}")
             meta[key] = _read_str(f, path)
         tensors = {}
         for _ in range(_read_u32(f, path, "tensor count")):
-            name = _read_str(f, path)
+            at, name = f.tell(), _read_str(f, path)
+            if name in tensors:
+                raise FormatError(f"{path}: tensor {name!r} repeated at byte {at}")
             (rank,) = struct.unpack("<B", _read_exact(f, 1, path, "tensor rank"))
             if rank > 2:  # no stored tensor has more axes
                 raise FormatError(f"{path}: tensor {name!r} has rank {rank} at byte "
@@ -230,14 +234,15 @@ def load_checkpoint(path):
             payload = _read_exact(f, 8 * count, path, f"tensor {name!r}")
             arr = np.frombuffer(payload, dtype="<f8").copy()
             tensors[name] = arr.reshape(shape)
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise FormatError(f"{path}: {extra} bytes after the last tensor at byte {f.tell()}")
 
     try:
-        _check_entries(path, tensors, meta)
+        _check_entries(path, tensors)
         params = ModelParams(tensors, float(tensors["surv.shape"][0]))
-        mean, std = tensors["stats.feature_mean"], tensors["stats.feature_std"]
-        if meta.get("stats.feature_kind") == "binary":
-            mean, std = np.zeros_like(mean), np.ones_like(std)
-        stats = PreprocessStats(float(tensors["stats.max_time"][0]), mean, std)
+        stats = PreprocessStats(float(tensors["stats.max_time"][0]),
+                                tensors["stats.feature_mean"], tensors["stats.feature_std"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint entry {exc}") from None
     except ShapeError as exc:
@@ -245,16 +250,11 @@ def load_checkpoint(path):
     return params, stats, meta
 
 
-def _check_entries(path, tensors, meta):
-    """FormatError unless an older file's feature kind is real or binary,
-    the stats fit the encoder's D inputs, the two scalars have shape (1,),
-    as written, all values are finite and the Weibull shape, time scale
-    and feature scales are positive. ModelParams checks the model's
-    shapes."""
-    kind = meta.get("stats.feature_kind", "real")
-    if kind not in ("real", "binary"):
-        raise FormatError(f"{path}: entry 'stats.feature_kind' is {kind!r}, "
-                          f"expected 'real' or 'binary'")
+def _check_entries(path, tensors):
+    """FormatError unless the stats fit the encoder's D inputs, the two
+    scalars have shape (1,), as written, all values are finite and the
+    Weibull shape, time scale and feature scales are positive.
+    ModelParams checks the model's shapes."""
     d = (np.shape(tensors["enc.W0"]) + (-1,))[0]
     expected = {"stats.feature_mean": (d,), "stats.feature_std": (d,),
                 "surv.shape": (1,), "stats.max_time": (1,)}

@@ -124,7 +124,7 @@ class TestConfigParsing:
 
     def test_bad_value_type(self, tmp_path):
         values = parse_config(write_config(tmp_path, "epochs = three\n"))
-        with pytest.raises(ConfigError, match="bad configuration value"):
+        with pytest.raises(ConfigError, match="bad configuration value for 'epochs'"):
             train_config_from(values)
 
     def test_non_utf8_file_names_path(self, tmp_path):
@@ -210,45 +210,40 @@ class TestCheckpoint:
         np.testing.assert_array_equal(lstats.feature_mean, stats.feature_mean)
         assert meta["epochs"] == "3"
 
-    # Entries that older files carry: the size and activation tags are read
-    # as ordinary meta; a binary feature kind's stored stats were never
-    # applied, so the file predicts like a new one with identity stats.
-    @pytest.mark.parametrize("old_meta", [
-        {"arch.enc_sizes": "5,6,6", "arch.dec_sizes": "3,6,5"},
-        {"arch.enc_acts": "relu,identity", "arch.dec_acts": "relu,identity"},
-        {"stats.feature_kind": "binary"},
-    ], ids=["sizes", "activations", "binary_kind"])
-    def test_file_with_old_size_entries_loads(self, tmp_path, old_meta):
-        params, stats, _ = self.roundtrip(tmp_path)
-        old_path, new_path = str(tmp_path / "old.ckpt"), str(tmp_path / "new.ckpt")
-        save_checkpoint(params, stats, {"epochs": "3", **old_meta}, old_path)
-        if "stats.feature_kind" in old_meta:
-            stats = PreprocessStats(stats.max_time, np.zeros(5), np.ones(5))
-        save_checkpoint(params, stats, {"epochs": "3"}, new_path)
-        _, old_stats, meta = load_checkpoint(old_path)
-        assert meta == {"epochs": "3", **old_meta}
-        for name in ("feature_mean", "feature_std"):
-            assert getattr(old_stats, name).tobytes() == getattr(stats, name).tobytes()
-        rng = np.random.default_rng(1)
-        save_csv(SurvivalDataset(rng.integers(0, 2, (7, 5)), np.arange(1.0, 8.0),
-                                 np.ones(7, dtype=int)), tmp_path / "x.csv")
-        for path in (old_path, new_path):
-            assert main(["predict", "--checkpoint", path, "--data", str(tmp_path / "x.csv"),
-                         "--out", path + ".csv"]) == 0
-        assert Path(old_path + ".csv").read_bytes() == Path(new_path + ".csv").read_bytes()
-
-    def test_round_trip_plain_prior(self, tmp_path):
-        # Files written with the plain N(0, I) prior, since removed, carry
-        # arch.gmm_prior = false and one component; the entry is ignored.
-        params, _, (loaded, _, meta) = self.roundtrip(
-            tmp_path, num_clusters=1, meta={"gmm_prior": "false", "arch.gmm_prior": "false"})
-        assert meta["arch.gmm_prior"] == "false" and loaded.num_clusters == 1
+    def test_round_trip_one_component(self, tmp_path):
+        params, _, (loaded, _, _) = self.roundtrip(tmp_path, num_clusters=1)
+        assert loaded.num_clusters == 1
         X = np.random.default_rng(1).standard_normal((7, 5))
         t, event = np.linspace(0.1, 1.0, 7), np.tile([0.0, 1.0], 4)[:7]
         for args in ((X,), (X, t, event)):
             a, b = model.predict(params, *args), model.predict(loaded, *args)
             for field in ("labels", "posterior", "latent", "median_time"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+    def test_resave_is_byte_identical(self, pipeline, tmp_path):
+        # the reader accepts exactly what the writer produces
+        copy = tmp_path / "copy.ckpt"
+        save_checkpoint(*load_checkpoint(pipeline["ckpt"]), str(copy))
+        assert copy.read_bytes() == Path(pipeline["ckpt"]).read_bytes()
+
+    @staticmethod
+    def predict_fails_with_one_line(tmp_path, capsys, path):
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(path),
+                     "--data", str(tmp_path / "unused.csv"),
+                     "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_version_1_file_is_rejected(self, tmp_path, capsys):
+        self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1, expected 2"):
+            load_checkpoint(str(path))
+        self.predict_fails_with_one_line(tmp_path, capsys, path)
 
     def test_failed_save_keeps_old_checkpoint(self, tmp_path):
         # a save that fails part-way (a meta value too long to store)
@@ -304,10 +299,18 @@ class TestCheckpoint:
                         b"surv.shape\x02" + struct.pack("<3I", 65536, 65536, 1),
                         "truncated tensor 'surv.shape'"),
     }
-    # Older files' entries with values no older writer stored.
-    META_EDITS = {
-        "unknown_feature_kind": ({"stats.feature_kind": "rexl"},
-                                 "entry 'stats.feature_kind' is 'rexl'"),
+    # Containers holding more than the writer wrote, as (edit of the file's
+    # bytes, message). Magic and version take bytes 0-8, the meta count
+    # 8-12, the one meta entry, epochs = 3, 12-23 and the tensor count 23-27.
+    EXTRA_ENTRIES = {
+        "trailing_bytes": (lambda data: data + bytes(7),
+                           "7 bytes after the last tensor at byte "),
+        "repeated_tensor": (lambda data: data[:23] + struct.pack("<I", data[23] + 1) + data[27:]
+                            + struct.pack("<H10sBI2d", 10, b"mix.logits", 1, 2, 5.0, -5.0),
+                            "tensor 'mix.logits' repeated at byte "),
+        "repeated_meta_key": (lambda data: data[:8] + struct.pack("<I", 2) + data[12:23]
+                              + struct.pack("<H6sH1s", 6, b"epochs", 1, b"7") + data[23:],
+                              "meta key 'epochs' repeated at byte 23$"),
     }
     # Well-formed containers whose tensors do not fit together (the model
     # has D=5, J=3, K=2 and one hidden layer of 6 in each net).
@@ -352,7 +355,7 @@ class TestCheckpoint:
         else:
             tensors["dec.W0"] = tensors["dec.W0"][:, :-1]
 
-    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(META_EDITS)
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS) + sorted(EXTRA_ENTRIES)
                              + sorted(SHAPE_EDITS) + sorted(VALUE_EDITS))
     def test_corrupt_entry_is_format_error(self, tmp_path, capsys, kind):
         params, stats, _ = self.roundtrip(tmp_path)
@@ -362,9 +365,11 @@ class TestCheckpoint:
             data = path.read_bytes()
             assert old in data
             path.write_bytes(data.replace(old, new, 1))
-        elif kind in self.META_EDITS:
-            meta, message = self.META_EDITS[kind]
-            save_checkpoint(params, stats, {"epochs": "3", **meta}, str(path))
+        elif kind in self.EXTRA_ENTRIES:
+            edit, message = self.EXTRA_ENTRIES[kind]
+            data = path.read_bytes()
+            assert data[8:23] == struct.pack("<IH6sH1s", 1, 6, b"epochs", 1, b"3")
+            path.write_bytes(edit(data))
         elif kind in self.SHAPE_EDITS:
             self.edit_shape(params.tensors, stats, kind)
             save_checkpoint(params, stats, {"epochs": "3"}, str(path))
@@ -374,13 +379,7 @@ class TestCheckpoint:
             save_checkpoint(params, stats, {"epochs": "3"}, str(path))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(str(path))
-        capsys.readouterr()
-        code = main(["predict", "--checkpoint", str(path),
-                     "--data", str(tmp_path / "unused.csv"),
-                     "--out", str(tmp_path / "p.csv")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
+        self.predict_fails_with_one_line(tmp_path, capsys, path)
 
     @pytest.mark.parametrize("kind", sorted(set(SHAPE_EDITS) - {"short_feature_mean"}))
     def test_inconsistent_tensors_are_shape_error(self, tmp_path, kind):
@@ -536,12 +535,12 @@ class TestCliErrors:
         assert code == 1
         assert "align" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, text", [
-        ("synthetic", "num_samples = abc\n"),
-        ("survmnist", "num_samples = 2.5\n"),
-        ("survmnist", "num_samples = 200\ntest_fraction = x\n"),
+    @pytest.mark.parametrize("kind, text, key", [
+        ("synthetic", "num_samples = abc\n", "num_samples"),
+        ("survmnist", "num_samples = 2.5\n", "num_samples"),
+        ("survmnist", "num_samples = 200\ntest_fraction = x\n", "test_fraction"),
     ], ids=["synthetic_int", "survmnist_int", "float"])
-    def test_bad_simulate_value_exits_one(self, tmp_path, capsys, kind, text):
+    def test_bad_simulate_value_exits_one(self, tmp_path, capsys, kind, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         code = main(["simulate", "--kind", kind, "--config", str(cfg),
@@ -549,7 +548,8 @@ class TestCliErrors:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if not line.startswith("notice:")]
         assert code == 1
-        assert len(errors) == 1 and errors[0].startswith("error: bad configuration value")
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: bad configuration value for {key!r}: ")
 
     @pytest.mark.parametrize("command, line, word", [
         ("synthetic", "weibull_shape = -1", "weibull_shape"),
