@@ -22,10 +22,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import datagen, metrics, model
+from . import metrics, model
 from .datagen import (
     PreprocessStats,
-    SurvivalDataset,
     SurvMnistConfig,
     SyntheticConfig,
     gen_survmnist,
@@ -294,9 +293,15 @@ def cmd_simulate(kind, values, out_dir):
 
 def cmd_train(data_path, values, out_path):
     config = train_config_from(values)
-    feature_kind = "binary" if config.recon_loss == "bce" else "real"
-    dataset = load_csv(data_path, feature_kind=feature_kind)
-    dataset, stats = preprocess(dataset)
+    tmp = f"{out_path}.{os.getpid()}.tmp"  # save_checkpoint's, tried before the fit
+    try:
+        open(tmp, "wb").close()
+        os.remove(tmp)
+    except OSError as exc:
+        raise OSError(f"{out_path}: cannot write: {exc.strerror}") from None
+    if os.path.isdir(out_path):
+        raise OSError(f"{out_path}: cannot write: Is a directory")
+    dataset, stats = preprocess(load_csv(data_path))
     params, trace = model.fit(dataset, config)
     save_checkpoint(params, stats, values, out_path)
     _write_table(out_path + ".trace.csv", ["epoch", "elbo"],
@@ -307,10 +312,8 @@ def cmd_predict(checkpoint_path, data_path, out_path):
     params, stats, meta = load_checkpoint(checkpoint_path)
     dataset = load_csv(data_path)
     if dataset.features.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"data has {dataset.features.shape[1]} features, "
-            f"checkpoint expects {params.input_dim}"
-        )
+        raise ShapeError(f"data has {dataset.features.shape[1]} features, "
+                         f"checkpoint expects {params.input_dim}")
     # _latent_scores's (N, K, J) residuals and the (N, K) scores it and the median hold
     n, k, j = len(dataset), params.num_clusters, params.latent_dim
     model.check_memory(8 * n * k * (3 * j + 12), "predict", num_clusters=k, latent_dim=j, rows=n)
@@ -321,7 +324,7 @@ def cmd_predict(checkpoint_path, data_path, out_path):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             pred = model.predict(params, preprocess(dataset, stats)[0].features)
-        except TrainingError as exc:
+        except (TrainingError, DomainError) as exc:
             raise DomainError(f"{checkpoint_path}: {exc}") from None
         t_hat = inverse_time_transform(pred.median_time, stats)
         ok = np.isfinite(pred.posterior).all(axis=1) & np.isfinite(t_hat) & (t_hat > 0)
@@ -329,12 +332,8 @@ def cmd_predict(checkpoint_path, data_path, out_path):
     if len(bad):
         raise DomainError(f"{checkpoint_path}: row {bad[0]}: non-finite cluster posterior "
                           f"or pred_time {t_hat[bad[0]]}")
-    header = (
-        ["row_id", "cluster"]
-        + [f"p_{c}" for c in range(pred.posterior.shape[1])]
-        + ["pred_time"]
-        + [f"latent_{d}" for d in range(pred.latent.shape[1])]
-    )
+    header = (["row_id", "cluster"] + [f"p_{c}" for c in range(pred.posterior.shape[1])]
+              + ["pred_time"] + [f"latent_{d}" for d in range(pred.latent.shape[1])])
     _write_table(out_path, header,
                  [np.arange(len(dataset)), pred.labels, pred.posterior, t_hat, pred.latent])
 

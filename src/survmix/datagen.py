@@ -4,7 +4,8 @@ Two generators are provided, each sized and seeded by its config alone:
 a tabular benchmark whose latents follow a Gaussian mixture with
 cluster-specific linear Weibull survival heads, and a digits benchmark
 that attaches exponential survival times to MNIST digit classes, with
-surrogate features in [0, 1] standing in for the images.
+surrogate features in [0, 1] standing in for the images. preprocess
+alone decides the feature map, from the train split's values.
 
 Datasets are saved as CSV tables. One loop reads every table, splitting
 each row only as far as its caller's columns reach, converting only
@@ -26,13 +27,12 @@ from .errors import ConfigError, FormatError, ShapeError
 
 @dataclass
 class SurvivalDataset:
-    """Rows of (features x, time t, event flag, optional true cluster)."""
+    """Rows of (features x, time t, event flag, optional integer cluster)."""
 
     features: np.ndarray  # (N, D)
     times: np.ndarray  # (N,)
     events: np.ndarray  # (N,) in {0, 1}
     labels: np.ndarray | None = None  # (N,) cluster indices
-    feature_kind: str = "real"  # "real" | "binary"
     processed: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -40,11 +40,10 @@ class SurvivalDataset:
         self.features = np.ascontiguousarray(self.features, dtype=float)
         self.times = np.ascontiguousarray(self.times, dtype=float)
         events = np.asarray(self.events)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+        labels = None if self.labels is None else np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-d, got shape {self.features.shape}")
-        for name, a in (("times", self.times), ("events", events), ("labels", self.labels)):
+        for name, a in (("times", self.times), ("events", events), ("labels", labels)):
             if a is not None and a.shape != self.features.shape[:1]:
                 raise ShapeError(f"{name} must have shape {self.features.shape[:1]} to match "
                                  f"the features, got {a.shape}")
@@ -59,6 +58,11 @@ class SurvivalDataset:
         for i in np.flatnonzero((events != 0) & (events != 1))[:1]:
             raise ConfigError(f"row {i}: event must be 0 or 1, got {events[i]}")
         self.events = events.astype(int)
+        if labels is not None:
+            with np.errstate(invalid="ignore"):  # nan, inf and overflow cast to a mismatch
+                self.labels = labels.astype(int)
+            for i in np.flatnonzero(self.labels != labels)[:1]:
+                raise ConfigError(f"row {i}: cluster must be an integer, got {labels[i]}")
 
     def __len__(self):
         return self.features.shape[0]
@@ -66,12 +70,8 @@ class SurvivalDataset:
     def subset(self, idx):
         # of the generators' diagnostics only the per-row ones are kept
         return SurvivalDataset(
-            self.features[idx],
-            self.times[idx],
-            self.events[idx],
-            None if self.labels is None else self.labels[idx],
-            self.feature_kind,
-            self.processed,
+            self.features[idx], self.times[idx], self.events[idx],
+            None if self.labels is None else self.labels[idx], self.processed,
             {k: v[idx] for k, v in self.diagnostics.items()
              if k in ("latents", "event_times", "scales", "digits")},
         )
@@ -207,7 +207,7 @@ def gen_synthetic(config):
     t = np.maximum(t, np.finfo(float).tiny)
 
     return SurvivalDataset(
-        x, t, events, labels=c, feature_kind="real",
+        x, t, events, labels=c,
         diagnostics={"latents": z, "event_times": u, "betas": betas,
                      "scales": lam, "mixture_means": mu,
                      "mixture_chols": np.stack(chols)},
@@ -251,7 +251,7 @@ def gen_survmnist(config):
     t = np.where(events == 1, u, t_cens)
 
     return SurvivalDataset(
-        features, t, events, labels=clusters, feature_kind="binary",
+        features, t, events, labels=clusters,
         diagnostics={"event_times": u, "digits": digit_labels, "risk_scores": risk,
                      "rates": rate, "digit_assignment": assignment, "censor_time": t_cens},
     )
@@ -352,9 +352,9 @@ def save_csv(dataset, path):
                  [dataset.features, dataset.times, dataset.events, *labels])
 
 
-def load_csv(path, feature_kind="real"):
+def load_csv(path):
     """Inverse of save_csv; errors name the first bad row."""
-    return _load_dataset(path, feature_kind, with_features=True)
+    return _load_dataset(path, with_features=True)
 
 
 def load_outcomes(path):
@@ -362,10 +362,10 @@ def load_outcomes(path):
     dataset with zero feature columns. The header, every row's width and
     the outcome cells are checked as load_csv checks them; feature cells
     are not parsed."""
-    return _load_dataset(path, "real", with_features=False)
+    return _load_dataset(path, with_features=False)
 
 
-def _load_dataset(path, feature_kind, with_features):
+def _load_dataset(path, with_features):
     def check_header(header):
         n_feat = sum(1 for h in header if h.startswith("feature_"))
         expected = [f"feature_{i}" for i in range(n_feat)] + ["time", "event"]
@@ -379,7 +379,7 @@ def _load_dataset(path, feature_kind, with_features):
     d = values.shape[1] - 2 - len(ints)
     try:
         return SurvivalDataset(values[:, :d], values[:, d], values[:, d + 1],
-                               ints.get("cluster"), feature_kind)
+                               ints.get("cluster"))
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -387,7 +387,7 @@ def _load_dataset(path, feature_kind, with_features):
 @dataclass
 class PreprocessStats:
     """The train split's map of any split: t -> TIME_OFFSET + t / max_time
-    and x -> (x - feature_mean) / feature_std (mean 0, std 1 if x is binary)."""
+    and x -> (x - feature_mean) / feature_std (mean 0, std 1 if x is in [0, 1])."""
 
     max_time: float
     feature_mean: np.ndarray
@@ -400,22 +400,20 @@ STD_FLOOR = 1e-8
 
 def preprocess(dataset, stats=None):
     """Map times affinely onto (0.001, 1.001] (train max -> 1.001) and
-    features by (x - mean) / std. Statistics computed here standardize
-    real-valued features and leave binary ones as they are (mean 0, std 1).
+    features by (x - mean) / std. Statistics computed here leave features
+    that all lie in [0, 1], a Bernoulli decoder's intensities, as they are
+    (mean 0, std 1), and standardize any others.
 
-    Returns (processed dataset, stats). Passing a dataset already
-    processed with the same stats is a no-op; without stats it is a
-    ConfigError, as its statistics are no longer the raw data's.
+    Returns (processed dataset, stats). A dataset already processed is a
+    ConfigError, with stats or without: its values are no longer raw.
     """
     if dataset.processed:
-        if stats is None:
-            raise ConfigError("dataset already preprocessed: pass the stats it was processed with")
-        return dataset, stats
+        raise ConfigError("dataset already preprocessed: pass the raw data")
     if stats is None:
         if len(dataset) == 0:
             raise ShapeError("cannot compute preprocessing statistics from zero rows")
         x = dataset.features
-        if dataset.feature_kind == "binary":
+        if x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0:  # zero columns too
             mean, std = np.zeros(x.shape[1]), np.ones(x.shape[1])
         else:
             mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR)

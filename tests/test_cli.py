@@ -616,6 +616,8 @@ class TestCliErrors:
     PREDICT_EDITS = {
         "huge_log_var": ("mix.log_vars", (0, 0), 800.0, None),
         "huge_mean": ("mix.means", (0, 0), 1e200, None),
+        # finite, so the file loads, but every variance underflows to 0
+        "tiny_log_vars": ("mix.log_vars", ..., -800.0, "variances must be strictly positive"),
         "huge_encoder_weight": ("enc.W0", (0, 0), 1e300,
                                 "degenerate cluster posterior: no component log-score "
                                 "is finite in row 0"),
@@ -641,6 +643,24 @@ class TestCliErrors:
         else:
             assert code == 1
             assert err == f"error: {ckpt}: {message}\n"
+
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/m.ckpt", "No such file or directory"), ("ckpt_dir", "Is a directory")])
+    def test_unwritable_out_is_refused_before_the_fit(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch, out, reason):
+        # found after the fit, it would cost the whole run and name a temporary
+        # file; the error names the path given, and nothing is left behind
+        monkeypatch.setattr(model, "fit", lambda *a: pytest.fail("fit ran"))
+        (tmp_path / "ckpt_dir").mkdir()
+        out = str(tmp_path / out)
+        capsys.readouterr()
+        code = main(["train", "--data", os.path.join(pipeline["data"], "train.csv"),
+                     "--config", pipeline["cfg"], "--out", out])
+        errors = [msg for msg in capsys.readouterr().err.splitlines()
+                  if not msg.startswith("notice:")]
+        assert code == 1
+        assert errors == [f"error: {out}: cannot write: {reason}"]
+        assert os.listdir(tmp_path) == ["ckpt_dir"] and os.listdir(tmp_path / "ckpt_dir") == []
 
     def test_median_rounding_to_the_offset_exits_one(self, pipeline, tmp_path, capsys):
         # every Weibull scale at its floor, far below TIME_OFFSET: with shape
@@ -930,9 +950,28 @@ class TestSurvMnistSimulate:
         out = str(tmp_path / "d")
         assert main(["simulate", "--kind", "survmnist", "--config", str(cfg),
                      "--out", out]) == 0
-        train = load_csv(os.path.join(out, "train.csv"), feature_kind="binary")
+        train = load_csv(os.path.join(out, "train.csv"))
         assert train.features.shape[1] == 10
         assert set(np.unique(train.labels)) <= {0, 1, 2}
+
+    def test_train_maps_features_as_preprocess_does(self, tmp_path):
+        # the digits' features lie in [0, 1]: train must store the map that
+        # preprocess works out from the generator's own train split, bit for bit,
+        # whatever the recon_loss
+        cfg = write_config(tmp_path, "num_samples = 200\nnum_clusters = 3\nseed = 1\n"
+                           "test_fraction = 0.25\nrecon_loss = mse\nepochs = 1\n"
+                           "latent_dim = 2\nbatch_size = 64\nenc_hidden = 8\ndec_hidden = 8\n")
+        data, ckpt = tmp_path / "d", str(tmp_path / "m.ckpt")
+        assert main(["simulate", "--kind", "survmnist", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data / "train.csv"), "--config", cfg,
+                     "--out", ckpt]) == 0
+        _, stats, _ = load_checkpoint(ckpt)
+        train, _ = datagen.train_test_split(
+            datagen.gen_survmnist(SurvMnistConfig(num_samples=200, num_clusters=3, seed=1)),
+            0.25, seed=1)
+        _, expected = datagen.preprocess(train)
+        assert stats.feature_mean.tobytes() == expected.feature_mean.tobytes()
+        assert stats.feature_std.tobytes() == expected.feature_std.tobytes()
 
     def test_bce_pipeline_predicts_on_raw_features(self, tmp_path):
         # binary features are not standardised: predict must equal the

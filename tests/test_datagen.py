@@ -59,6 +59,21 @@ class TestDatasetContainer:
         with pytest.raises(ConfigError):
             SurvivalDataset(np.zeros((2, 2)), np.ones(2), np.array([0, 2]))
 
+    @pytest.mark.parametrize("labels, row", [
+        ([0.5, 1.7, 2.0], 0), ([0.0, 1.0, 2.5], 2), ([0, np.nan, 1], 1),
+        ([np.inf, 0, 1], 0), ([0, 1, -np.inf], 2), ([0, 1e300, 1], 1),
+    ])
+    def test_non_integer_label_names_row(self, labels, row):
+        # a cast would turn them into other clusters, and nan or inf into a warning
+        with pytest.raises(ConfigError, match=f"^row {row}: cluster must be an integer, "
+                                              f"got {re.escape(str(labels[row]))}$"):
+            SurvivalDataset(np.zeros((3, 2)), np.ones(3), np.ones(3, dtype=int), labels)
+
+    def test_integer_valued_float_labels_become_ints(self):
+        data = SurvivalDataset(np.zeros((3, 2)), np.ones(3), np.ones(3, dtype=int),
+                               [2.0, 0.0, -0.0])
+        assert data.labels.dtype == int and data.labels.tolist() == [2, 0, 0]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row, column", [(1, "feature_0"), (0, "feature_1"), (2, "time")])
     def test_non_finite_value_names_row_and_column(self, row, column, value):
@@ -426,17 +441,13 @@ class TestPreprocess:
         np.testing.assert_array_equal(stats_.feature_mean, np.zeros(10))
         np.testing.assert_array_equal(stats_.feature_std, np.ones(10))
 
-    def test_reapplication_is_noop(self):
-        data = small_synth(seed=7)
-        once, stats_ = preprocess(data)
-        twice, _ = preprocess(once, stats_)
-        assert twice is once
-
     def test_reapplication_without_stats_rejected(self):
-        # there are no statistics to hand on to the test split
-        once, _ = preprocess(small_synth(seed=7))
-        with pytest.raises(ConfigError, match="already preprocessed"):
-            preprocess(once)
+        # there are no statistics to hand on to the test split, and stats
+        # handed in would map the values a second time
+        once, stats_ = preprocess(small_synth(seed=7))
+        for stats_given in (None, stats_):
+            with pytest.raises(ConfigError, match="already preprocessed"):
+                preprocess(once, stats_given)
 
     def test_test_split_uses_train_stats(self):
         data = small_synth(seed=8)
