@@ -53,16 +53,10 @@ CONFIG_DEFAULTS = {
 }
 CONFIG_DEFAULTS["test_fraction"] = "0.3"
 
-# The dataset kinds simulate generates: (config class, generator, the
-# float64 cells its largest arrays and the split's copy hold, from the
-# config's integer sizes). Synthetic: K J x J covariance factors, N x J
-# latents and noise, N x hidden activations, N x D features and their
-# copy; digits: N x 10 features and their copy.
-GENERATORS = {
-    "synthetic": (SyntheticConfig, gen_synthetic, lambda c: c.num_clusters * c.latent_dim**2
-                  + 2 * c.num_samples * (c.latent_dim + c.hidden_units + c.num_features)),
-    "survmnist": (SurvMnistConfig, gen_survmnist, lambda c: 2 * c.num_samples * 10),
-}
+# The dataset kinds simulate generates: (config class, generator). Each
+# generator refuses a size whose arrays cannot fit in memory.
+GENERATORS = {"synthetic": (SyntheticConfig, gen_synthetic),
+              "survmnist": (SurvMnistConfig, gen_survmnist)}
 
 # Longest string a checkpoint holds (its length is stored as a u16), so
 # also the longest run-config value, which train echoes into the file.
@@ -274,15 +268,11 @@ def _check_entries(path, tensors):
 
 
 def cmd_simulate(kind, values, out_dir):
-    config_class, generate, cells = GENERATORS[kind]
+    config_class, generate = GENERATORS[kind]
     gen_config = _from_config(config_class, values)
-    model.check_memory(8 * cells(gen_config), "simulate", **{
-        f.name: getattr(gen_config, f.name) for f in fields(gen_config)
-        if type(f.default) is int and f.name != "seed"})
-    os.makedirs(out_dir, exist_ok=True)
-    dataset = generate(gen_config)
-    train, test = train_test_split(dataset, _value(values, "test_fraction", float),
-                                   gen_config.seed)
+    train, test = train_test_split(generate(gen_config),
+                                   _value(values, "test_fraction", float), gen_config.seed)
+    os.makedirs(out_dir, exist_ok=True)  # after the generator: a refused size makes nothing
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     with open(os.path.join(out_dir, "manifest"), "w") as f:
@@ -301,7 +291,9 @@ def cmd_train(data_path, values, out_path):
         raise OSError(f"{out_path}: cannot write: {exc.strerror}") from None
     if os.path.isdir(out_path):
         raise OSError(f"{out_path}: cannot write: Is a directory")
-    dataset, stats = preprocess(load_csv(data_path))
+    dataset = load_csv(data_path)
+    model.check_features(dataset.features, config)  # raw: preprocess may map them into range
+    dataset, stats = preprocess(dataset)
     params, trace = model.fit(dataset, config)
     save_checkpoint(params, stats, values, out_path)
     _write_table(out_path + ".trace.csv", ["epoch", "elbo"],
@@ -314,9 +306,6 @@ def cmd_predict(checkpoint_path, data_path, out_path):
     if dataset.features.shape[1] != params.input_dim:
         raise ShapeError(f"data has {dataset.features.shape[1]} features, "
                          f"checkpoint expects {params.input_dim}")
-    # _latent_scores's (N, K, J) residuals and the (N, K) scores it and the median hold
-    n, k, j = len(dataset), params.num_clusters, params.latent_dim
-    model.check_memory(8 * n * k * (3 * j + 12), "predict", num_clusters=k, latent_dim=j, rows=n)
     # Times and events are deliberately not passed: held-out prediction
     # must not peek at the outcome columns. Overflow warnings are silenced;
     # a non-finite posterior or a time that is not finite and positive (a

@@ -4,8 +4,9 @@ Two generators are provided, each sized and seeded by its config alone:
 a tabular benchmark whose latents follow a Gaussian mixture with
 cluster-specific linear Weibull survival heads, and a digits benchmark
 that attaches exponential survival times to MNIST digit classes, with
-surrogate features in [0, 1] standing in for the images. preprocess
-alone decides the feature map, from the train split's values.
+surrogate features in [0, 1] standing in for the images. Each refuses a
+size that cannot fit in memory through check_memory, the model's gate too.
+preprocess alone decides the feature map, from the train split's values.
 
 Datasets are saved as CSV tables. One loop reads every table, splitting
 each row only as far as its caller's columns reach, converting only
@@ -15,7 +16,9 @@ load_outcomes only time, event and cluster.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
 from operator import itemgetter
 
@@ -23,6 +26,29 @@ import numpy as np
 
 from .dist import softplus
 from .errors import ConfigError, FormatError, ShapeError
+
+
+@cache
+def _available_memory():
+    """Physical memory in bytes, or the cgroup's limit (v2, else v1) when readable and lower.
+    Read once per process, so a small predict spends no share of its time in system calls."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            with open(path) as f:
+                return min(physical, int(f.read()))
+        except (OSError, ValueError):  # absent, or "max": no limit
+            pass
+    return physical
+
+
+def check_memory(need, purpose, **sizes):
+    """ConfigError naming the sizes when need bytes to purpose exceed the memory available."""
+    if need > (have := _available_memory()):
+        named = [f"{key} {value}" for key, value in sizes.items()]
+        raise ConfigError(f"{', '.join(named[:-1])} and {named[-1]} need about "
+                          f"{need / 2**30:.1f} GiB to {purpose}, more than the "
+                          f"{have / 2**30:.1f} GiB available")
 
 
 @dataclass
@@ -161,11 +187,16 @@ def gen_low_rank(m, n, seed):
 
 def gen_synthetic(config):
     """Tabular benchmark: Gaussian-mixture latents pushed through a random
-    3-layer relu map, with cluster-specific linear Weibull survival."""
+    3-layer relu map, with cluster-specific linear Weibull survival. A
+    ConfigError names the sizes when K J x J covariance factors, N x J
+    latents and noise, N x hidden activations and N x D features with a
+    split's copy would exceed the memory available."""
     rng = np.random.default_rng(config.seed)
     K, N, J, D = (config.num_clusters, config.num_samples,
                   config.latent_dim, config.num_features)
     h = config.hidden_units
+    check_memory(8 * (K * J**2 + 2 * N * (J + h + D)), "simulate", num_clusters=K,
+                 num_samples=N, latent_dim=J, num_features=D, hidden_units=h)
 
     c = rng.integers(0, K, size=N)
     mu = rng.uniform(-0.5, 0.5, size=(K, J))
@@ -221,10 +252,13 @@ def gen_survmnist(config):
     The features stand in for MNIST images: one-hot digit labels plus
     N(0, 0.1^2) noise, clipped to the [0, 1] range of pixel intensities.
     Digits and features come from one generator seeded with config.seed,
-    the survival part from a second one with the same seed.
+    the survival part from a second one with the same seed. A ConfigError
+    names the sizes when the N x 10 features and a split's copy would
+    exceed the memory available.
     """
     rng = np.random.default_rng(config.seed)
     n, K = config.num_samples, config.num_clusters
+    check_memory(8 * 2 * n * 10, "simulate", num_clusters=K, num_samples=n)
     digit_labels = rng.integers(0, 10, size=n)
     features = np.eye(10)[digit_labels] + 0.1 * rng.standard_normal((n, 10))
     np.clip(features, 0.0, 1.0, out=features)

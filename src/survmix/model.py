@@ -22,7 +22,9 @@ training pass, ``cluster_posterior*`` and ``predict`` all use it.
 One table, ``_shapes``, maps the sizes (D features, J latents, K
 clusters, hidden widths) to every tensor's name and shape: ``init_params``
 draws from it, ``fit`` sizes its memory estimate from it, and a
-checkpoint's tensors are checked against it.
+checkpoint's tensors are checked against it. ``fit`` and ``predict``
+each refuse, through ``datagen.check_memory``, a size whose arrays
+cannot fit in memory.
 
 Every parameter lives in one store, ``ModelParams``: a name -> array
 dict whose construction checks that the arrays form one model and copies
@@ -38,7 +40,6 @@ gradients in place into one buffer laid out the same way, and the ascent
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, astuple, dataclass, field
 from functools import reduce
 from operator import add
@@ -46,7 +47,7 @@ from operator import add
 import numpy as np
 
 from .baselines import gmm_em_fit
-from .datagen import TIME_OFFSET
+from .datagen import TIME_OFFSET, check_memory
 from .dist import (
     log_gaussian_diag,
     log_sum_exp,
@@ -447,25 +448,14 @@ def pretrain_init(params, X, config, rng):
     return params
 
 
-def _available_memory():
-    """Physical memory in bytes, or the cgroup's limit (v2, else v1) when readable and lower."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
-        try:
-            with open(path) as f:
-                return min(physical, int(f.read()))
-        except (OSError, ValueError):  # absent, or "max": no limit
-            pass
-    return physical
-
-
-def check_memory(need, purpose, **sizes):
-    """ConfigError naming the sizes when need bytes to purpose exceed the memory available."""
-    if need > (have := _available_memory()):
-        named = [f"{key} {value}" for key, value in sizes.items()]
-        raise ConfigError(f"{', '.join(named[:-1])} and {named[-1]} need about "
-                          f"{need / 2**30:.1f} GiB to {purpose}, more than the "
-                          f"{have / 2**30:.1f} GiB available")
+def check_features(X, config):
+    """With recon_loss "bce" every feature must lie in [0, 1], else the
+    Bernoulli log-likelihood has no upper bound: a DomainError names the
+    first row and column outside it."""
+    if config.recon_loss == "bce":
+        for i, j in np.argwhere(~((X >= 0.0) & (X <= 1.0)))[:1]:
+            raise DomainError(f"row {i}: feature_{j} is {X[i, j]}, but recon_loss bce "
+                              f"needs features in [0, 1]")
 
 
 def fit(data, config, callback=None):
@@ -473,28 +463,27 @@ def fit(data, config, callback=None):
 
     data must expose .features, .times, .events. The trace holds the mean
     batch objective per epoch; callback(epoch, value) is called after each.
-    With recon_loss "bce" every feature must lie in [0, 1], else the
-    Bernoulli log-likelihood has no upper bound: a DomainError names the
-    first row and column outside it. A ConfigError names the sizes when the
-    parameters (with their gradient and two Adam moments) and one batch's
-    layer outputs and deltas would exceed the memory available.
+    A ConfigError names the sizes when the parameters (with their gradient
+    and two Adam moments), one batch's layer outputs and deltas and, with
+    pretraining, the encoder's layer outputs over every row would exceed
+    the memory available; then the features must pass check_features.
     """
     rng = np.random.default_rng(config.seed)
     X = np.asarray(data.features, dtype=float)
-    t = np.asarray(data.times, dtype=float)
-    event = np.asarray(data.events, dtype=float)
     if X.shape[0] == 0:
         raise ShapeError("no training rows")
-    if config.recon_loss == "bce":
-        for i, j in np.argwhere(~((X >= 0.0) & (X <= 1.0)))[:1]:
-            raise DomainError(f"row {i}: feature_{j} is {X[i, j]}, but recon_loss bce "
-                              f"needs features in [0, 1]")
     shapes = _shapes(X.shape[1], config.latent_dim, config.num_clusters, config.enc_hidden,
                      config.dec_hidden)
-    outputs = min(len(X), config.batch_size) * sum(s[1] for n, s in shapes.items() if ".W" in n)
-    check_memory(8 * (4 * sum(map(math.prod, shapes.values())) + 2 * outputs), "train",
-                 latent_dim=config.latent_dim, num_clusters=config.num_clusters,
-                 enc_hidden=config.enc_hidden, dec_hidden=config.dec_hidden)
+    outputs = sum(s[1] for n, s in shapes.items() if ".W" in n)  # one row's, every layer
+    cells = 4 * sum(map(math.prod, shapes.values())) + 2 * min(len(X), config.batch_size) * outputs
+    if config.pretrain_epochs > 0:  # pretrain_init encodes every row at once
+        cells += len(X) * sum(s[1] for n, s in shapes.items() if n.startswith("enc.W"))
+    check_memory(8 * cells, "train", latent_dim=config.latent_dim,
+                 num_clusters=config.num_clusters, enc_hidden=config.enc_hidden,
+                 dec_hidden=config.dec_hidden)
+    check_features(X, config)
+    t = np.asarray(data.times, dtype=float)
+    event = np.asarray(data.events, dtype=float)
     params = init_params(X.shape[1], config, rng)
     params = pretrain_init(params, X, config, rng)
     trace = _train(params, params.tensors, X, t, event, config.epochs, config, rng, callback)
@@ -516,9 +505,14 @@ def predict(params, X, t=None, event=None):
 
     Uses z = mu_theta (no sampling). When (t, event) are given the label
     posterior conditions on them; the predicted time always uses the
-    time-free posterior so held-out prediction never peeks at t.
+    time-free posterior so held-out prediction never peeks at t. A
+    ConfigError names the sizes whose arrays would exceed the memory available.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    # encode's layer outputs, _latent_scores's (N, K, J) residuals, the (N, K) scores
+    n, k, j = len(X), params.num_clusters, params.latent_dim
+    need = 8 * n * (sum(b.size for b in params.encoder.biases) + k * (3 * j + 12))
+    check_memory(need, "predict", num_clusters=k, latent_dim=j, rows=n)
     mu, _ = encode(params, X)
     scores = _latent_scores(params, mu, t, event)
     post = _normalize_log_posterior(scores.log_joint)

@@ -995,6 +995,22 @@ class TestSurvMnistSimulate:
         t_hat = inverse_time_transform(expected.median_time, stats)
         assert table[:, header.index("pred_time")].tobytes() == t_hat.tobytes()
 
+    def test_bce_checks_the_raw_features(self, tmp_path, capsys):
+        # constant features outside [0, 1] standardize to zeros, which lie in
+        # [0, 1]: train must refuse the raw values before it maps them
+        save_csv(SurvivalDataset(np.full((20, 2), 5.0), np.arange(1.0, 21.0),
+                                 np.ones(20, dtype=int)), str(tmp_path / "fives.csv"))
+        cfg = write_config(tmp_path, FAST_TRAIN + "recon_loss = bce\n")
+        capsys.readouterr()
+        code = main(["train", "--data", str(tmp_path / "fives.csv"), "--config", cfg,
+                     "--out", str(tmp_path / "m.ckpt")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("notice:")]
+        assert code == 1
+        assert errors == ["error: row 0: feature_0 is 5.0, but recon_loss bce needs "
+                          "features in [0, 1]"]
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 NO_SCIPY_PIPELINE = r"""
 import importlib, json, pkgutil, sys

@@ -183,6 +183,13 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match=f"^weibull_shape = {shape} draws infinite"):
             gen_synthetic(config)
 
+    def test_refuses_a_size_beyond_memory(self):
+        # from the config, before any array: in-process callers get the CLI's refusal
+        with pytest.raises(ConfigError, match=re.escape(
+                f"num_clusters 3, num_samples {10**17}, latent_dim 16, num_features 1000 "
+                f"and hidden_units 32 need about ") + r"\d+\.\d GiB to simulate, more than"):
+            gen_synthetic(SyntheticConfig(num_samples=10**17))
+
 
 class TestSurvMnist:
     def make(self, seed=0, n=2000, k=5, censor=0.3):
@@ -239,6 +246,11 @@ class TestSurvMnist:
         config = SurvMnistConfig(num_samples=2000, mean_survival=mean_survival)
         with pytest.raises(ConfigError, match=re.escape(f"mean_survival = {mean_survival} draws")):
             gen_survmnist(config)
+
+    def test_refuses_a_size_beyond_memory(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"num_clusters 5 and num_samples {10**17} need about ") + r"\d+\.\d GiB to simulate"):
+            gen_survmnist(SurvMnistConfig(num_samples=10**17))
 
 
 class TestCsv:
@@ -477,7 +489,8 @@ class TestPreprocess:
         )
 
     def test_constant_feature_does_not_divide_by_zero(self):
-        data = SurvivalDataset(np.ones((10, 2)), np.arange(1.0, 11.0),
+        # outside [0, 1], so the features are standardized and the std floored
+        data = SurvivalDataset(np.full((10, 2), 5.0), np.arange(1.0, 11.0),
                                np.ones(10, dtype=int))
         out, _ = preprocess(data)
         assert np.all(np.isfinite(out.features))

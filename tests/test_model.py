@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_diff_grad, fit_brute
-from survmix import model
+from survmix import datagen, model
 from survmix.datagen import (
     TIME_OFFSET,
     SurvivalDataset,
@@ -483,3 +483,36 @@ class TestFitPredict:
         params.betas[:, 0] = -1e4
         lam = weibull_scales(params, rng.standard_normal((3, 3)))
         assert np.all(lam >= 1e-8)
+
+
+class TestMemoryGate:
+    # Each case's encoder outputs over every row outweigh the rest of its
+    # estimate; the memory available is patched to lie between the two.
+    HAVE = 4 << 20
+
+    def test_predict_counts_the_encoder_outputs(self, monkeypatch):
+        # residuals and scores 8 N K (3J + 12) = 0.3 MB; encoder outputs 8 N (1000 + 2J) = 8 MB
+        params = init_params(5, tiny_config(latent_dim=2, enc_hidden=(1000,)),
+                             np.random.default_rng(0))
+        monkeypatch.setattr(datagen, "_available_memory", lambda: self.HAVE)
+        with pytest.raises(ConfigError, match="^num_clusters 2, latent_dim 2 and rows 1000 "
+                                              "need about 0.0 GiB to predict"):
+            predict(params, np.zeros((1000, 5)))
+
+    @pytest.mark.parametrize("pretrain_epochs", [1, 0])
+    def test_fit_counts_the_pretraining_encode(self, monkeypatch, pretrain_epochs):
+        # parameters and one batch 8 (4 * 5057 + 2 * 64 * 513) = 0.7 MB;
+        # pretrain_init's encoding of every row 8 * 2000 * (500 + 2J) = 8 MB
+        rng = np.random.default_rng(0)
+        data, _ = preprocess(SurvivalDataset(rng.standard_normal((2000, 5)),
+                                             rng.uniform(0.1, 1.0, 2000),
+                                             rng.integers(0, 2, 2000)))
+        config = tiny_config(latent_dim=2, enc_hidden=(500,), dec_hidden=(4,), epochs=1,
+                             batch_size=64, pretrain_epochs=pretrain_epochs)
+        monkeypatch.setattr(datagen, "_available_memory", lambda: self.HAVE)
+        if pretrain_epochs:
+            with pytest.raises(ConfigError, match=r"^latent_dim 2, num_clusters 2, enc_hidden "
+                                                  r"\(500,\) and dec_hidden \(4,\) need about "):
+                fit(data, config)
+        else:
+            fit(data, config)
