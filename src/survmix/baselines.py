@@ -160,24 +160,18 @@ def weibull_aft_fit(X, t, event, ridge=1e-3, fixed_shape=None, max_steps=5000):
     t = np.asarray(t, dtype=float)
     event = np.asarray(event, dtype=float)
     X1 = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-    params = {"w": np.zeros(X1.shape[1]), "log_k": np.zeros(1)}
+    theta, grad = np.zeros((2, X1.shape[1] + 1))  # [w; log_k], ascended as one vector
     if fixed_shape is not None:
-        params["log_k"][0] = np.log(fixed_shape)
+        theta[-1] = np.log(fixed_shape)
     state = AdamState()
     for _ in range(max_steps):
-        obj, gw, g_log_k = _aft_objective_grads(
-            params["w"], params["log_k"][0], X1, t, event, ridge
-        )
-        grads = {"w": gw, "log_k": np.array([g_log_k])}
-        if fixed_shape is not None:
-            grads["log_k"][:] = 0.0
-        gnorm = np.sqrt(sum(float(g @ g) for g in grads.values()))
-        if gnorm < 1e-6:
+        _, gw, g_log_k = _aft_objective_grads(theta[:-1], theta[-1], X1, t, event, ridge)
+        g_log_k = g_log_k if fixed_shape is None else 0.0
+        if np.sqrt(float(gw @ gw) + g_log_k * g_log_k) < 1e-6:
             break
-        adam_step(params, grads, state, lr=0.05)
-    return WeibullAftModel(
-        params["w"].copy(), float(np.exp(params["log_k"][0])), ridge
-    )
+        grad[:-1], grad[-1] = gw, g_log_k
+        adam_step({"theta": theta}, {"theta": grad}, state, lr=0.05)
+    return WeibullAftModel(theta[:-1].copy(), float(np.exp(theta[-1])), ridge)
 
 
 def weibull_aft_predict(model, X):

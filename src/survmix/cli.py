@@ -34,6 +34,7 @@ from .datagen import (
     load_outcomes,
     preprocess,
     save_csv,
+    split_size,
     train_test_split,
     _read_table,
     _write_table,
@@ -270,8 +271,9 @@ def _check_entries(path, tensors):
 def cmd_simulate(kind, values, out_dir):
     config_class, generate = GENERATORS[kind]
     gen_config = _from_config(config_class, values)
-    train, test = train_test_split(generate(gen_config),
-                                   _value(values, "test_fraction", float), gen_config.seed)
+    test_fraction = _value(values, "test_fraction", float)
+    split_size(gen_config.num_samples, test_fraction)  # fails before the draw
+    train, test = train_test_split(generate(gen_config), test_fraction, gen_config.seed)
     os.makedirs(out_dir, exist_ok=True)  # after the generator: a refused size makes nothing
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
@@ -303,9 +305,6 @@ def cmd_train(data_path, values, out_path):
 def cmd_predict(checkpoint_path, data_path, out_path):
     params, stats, meta = load_checkpoint(checkpoint_path)
     dataset = load_csv(data_path)
-    if dataset.features.shape[1] != params.input_dim:
-        raise ShapeError(f"data has {dataset.features.shape[1]} features, "
-                         f"checkpoint expects {params.input_dim}")
     # Times and events are deliberately not passed: held-out prediction
     # must not peek at the outcome columns. Overflow warnings are silenced;
     # a non-finite posterior or a time that is not finite and positive (a

@@ -133,12 +133,11 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class SurvMnistConfig:
-    """Size, rates and seed of gen_survmnist's data; checked when built."""
+    """Size, censoring and seed of gen_survmnist's data; checked when built."""
 
     num_clusters: int = 5
     num_samples: int = 60000
     censoring_fraction: float = 0.3
-    mean_survival: float = 365.0
     seed: int = 0
 
     def __post_init__(self):
@@ -148,8 +147,6 @@ class SurvMnistConfig:
             raise ConfigError("num_clusters must be between 1 and 10 (ten digits)")
         if not 0.0 <= self.censoring_fraction < 1.0:
             raise ConfigError("censoring_fraction must be in [0, 1)")
-        if not 0.0 < self.mean_survival < np.inf:
-            raise ConfigError(f"mean_survival must be positive and finite, got {self.mean_survival}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -245,6 +242,9 @@ def gen_synthetic(config):
     )
 
 
+MEAN_SURVIVAL = 365.0  # days: the digits benchmark's time unit
+
+
 def gen_survmnist(config):
     """Digits benchmark: exponential survival times with digit-cluster
     specific rates; a single censoring time truncates the upper tail.
@@ -273,12 +273,10 @@ def gen_survmnist(config):
     risk = rng.uniform(0.5, 15.0, size=K)
     a = rng.uniform(size=n)
     a = np.where(a <= 0.0, np.finfo(float).tiny, a)
-    with np.errstate(over="ignore"):  # a mean_survival far from 1 overflows rate or u
-        rate = np.exp(risk) / config.mean_survival
-        u = -np.log(a) / rate[clusters]
-    if not (np.isfinite(u) & (u > 0)).all():
-        raise ConfigError(f"mean_survival = {config.mean_survival} draws survival times "
-                          f"that are not finite and positive")
+    # -log(a) lies in (0, 708.4] and risk in [0.5, 15], so every time lies in
+    # (0, 708.4 * MEAN_SURVIVAL / e^0.5], about 1.6e5: finite and positive
+    rate = np.exp(risk) / MEAN_SURVIVAL
+    u = -np.log(a) / rate[clusters]
     q_cens = np.quantile(u, 1.0 - config.censoring_fraction)
     t_cens = rng.uniform(u.min(), q_cens)
     events = (u <= t_cens).astype(int)
@@ -439,7 +437,8 @@ def preprocess(dataset, stats=None):
     (mean 0, std 1), and standardize any others.
 
     Returns (processed dataset, stats). A dataset already processed is a
-    ConfigError, with stats or without: its values are no longer raw.
+    ConfigError, with stats or without (its values are no longer raw), and
+    one whose width is not the stats' a ShapeError.
     """
     if dataset.processed:
         raise ConfigError("dataset already preprocessed: pass the raw data")
@@ -452,6 +451,9 @@ def preprocess(dataset, stats=None):
         else:
             mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR)
         stats = PreprocessStats(float(dataset.times.max()), mean, std)
+    elif dataset.features.shape[1] != len(stats.feature_mean):
+        raise ShapeError(f"data has {dataset.features.shape[1]} features, the preprocessing "
+                         f"statistics expect {len(stats.feature_mean)}")
     times = TIME_OFFSET + dataset.times / stats.max_time
     features = dataset.features - stats.feature_mean
     features /= stats.feature_std
@@ -464,16 +466,21 @@ def inverse_time_transform(times, stats):
     return (np.asarray(times, dtype=float) - TIME_OFFSET) * stats.max_time
 
 
-def train_test_split(dataset, test_fraction, seed):
-    """Seeded shuffle split."""
+def split_size(n, test_fraction):
+    """Test rows when n rows are split: ConfigError unless 0 < test_fraction < 1, no part empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
-    n = len(dataset)
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test >= n:
         raise ConfigError(f"degenerate split sizes for n={n}")
+    return n_test
+
+
+def train_test_split(dataset, test_fraction, seed):
+    """Seeded shuffle split, sized by split_size."""
+    n_test = split_size(len(dataset), test_fraction)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    order = rng.permutation(len(dataset))
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
     return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -205,12 +205,14 @@ def init_params(input_dim, config, rng):
 
 def encode(params, X):
     """Latent mean and clamped log-variance for a batch."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out, _ = net_forward(params.encoder, X)
+    return _encoder_pass(params, np.atleast_2d(np.asarray(X, dtype=float)))[:2]
+
+
+def _encoder_pass(params, X):
+    """The encoder on X: latent mean, clamped log-variance and the forward stack."""
+    out, posts = net_forward(params.encoder, X)
     j = params.latent_dim
-    mu = out[:, :j]
-    log_var = np.clip(out[:, j:], LOGVAR_MIN, LOGVAR_MAX)
-    return mu, log_var
+    return out[:, :j], np.clip(out[:, j:], LOGVAR_MIN, LOGVAR_MAX), posts
 
 
 def reparameterize(mu, log_var, rng):
@@ -326,11 +328,8 @@ def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
     freezes them. With t=None it is the autoencoder objective of
     pretraining: reconstruction only, over the encoder and decoder entries.
     """
-    B, j = X.shape[0], params.latent_dim
-    enc_out, enc_posts = net_forward(params.encoder, X)
-    mu = enc_out[:, :j]
-    log_var_raw = enc_out[:, j:]
-    log_var = np.clip(log_var_raw, LOGVAR_MIN, LOGVAR_MAX)
+    B = X.shape[0]
+    mu, log_var, enc_posts = _encoder_pass(params, X)
     sigma = np.exp(0.5 * log_var)
     Z = mu + sigma * eps
     dec_out, dec_posts = net_forward(params.decoder, Z)
@@ -376,7 +375,7 @@ def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
     if t is not None:
         # Entropy term contributes 1/(2B) per log-variance coordinate.
         dlogvar = dlogvar + 0.5 / B
-    clamp_mask = (log_var_raw > LOGVAR_MIN) & (log_var_raw < LOGVAR_MAX)
+    clamp_mask = (log_var > LOGVAR_MIN) & (log_var < LOGVAR_MAX)  # the raw values' mask
     upstream_enc = np.concatenate([dZ, dlogvar * clamp_mask], axis=1)
     net_backward(params.encoder, enc_posts, upstream_enc, _dense_net(grads, "enc"),
                  input_grad=False)
@@ -444,7 +443,7 @@ def pretrain_init(params, X, config, rng):
     gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
     params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
     params.means[:] = gmm.means
-    params.log_vars[:] = np.log(np.maximum(gmm.variances, 1e-6))
+    params.log_vars[:] = np.log(gmm.variances)  # floored at baselines.VAR_FLOOR
     return params
 
 

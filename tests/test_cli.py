@@ -70,7 +70,8 @@ class TestConfigParsing:
 
     def test_unknown_key_reports_line(self, tmp_path):
         # removed keys are unknown keys like any other
-        for line in ("bogus_key = 1", "mc_samples = 1", "stratify_by_time = false"):
+        for line in ("bogus_key = 1", "mc_samples = 1", "mean_survival = 365",
+                     "stratify_by_time = false"):
             p = write_config(tmp_path, f"epochs = 2\n{line}\n")
             with pytest.raises(ConfigError, match=":2: unknown configuration key"):
                 parse_config(p)
@@ -554,13 +555,10 @@ class TestCliErrors:
     @pytest.mark.parametrize("command, line, word", [
         ("synthetic", "weibull_shape = -1", "weibull_shape"),
         ("synthetic", "weibull_shape = nan", "weibull_shape"),
-        ("survmnist", "mean_survival = 0", "mean_survival"),
-        ("survmnist", "mean_survival = inf", "mean_survival"),
         ("survmnist", "num_samples = 0", "num_samples"),
         ("survmnist", "num_samples = -5", "num_samples"),
-        # the drawn times overflow: infinite, or 0 from infinite rates
+        # the drawn times overflow
         ("synthetic", "weibull_shape = 1e-300", "weibull_shape = 1e-300"),
-        ("survmnist", "mean_survival = 1e-310", "mean_survival = 1e-310"),
         ("train", "learning_rate = -1", "learning_rate"),
         ("train", "learning_rate = nan", "learning_rate"),
         ("train", "epochs = -2", "epochs"),
@@ -643,6 +641,24 @@ class TestCliErrors:
         else:
             assert code == 1
             assert err == f"error: {ckpt}: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("test_fraction = 1.5", "test_fraction must be in (0, 1)"),
+        ("num_samples = 1", "degenerate split sizes for n=1")])
+    def test_bad_split_is_refused_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                    line, message):
+        # the split's checks need only num_samples: a generator that ran first
+        # would spend the whole draw on a run that must fail
+        monkeypatch.setitem(cli.GENERATORS, "synthetic",
+                            (SyntheticConfig, lambda config: pytest.fail("generator ran")))
+        cfg = write_config(tmp_path, f"{line}\n")
+        code = main(["simulate", "--kind", "synthetic", "--config", cfg,
+                     "--out", str(tmp_path / "d")])
+        errors = [msg for msg in capsys.readouterr().err.splitlines()
+                  if not msg.startswith("notice:")]
+        assert code == 1
+        assert errors == [f"error: {message}"]
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("out, reason", [
         ("missing/m.ckpt", "No such file or directory"), ("ckpt_dir", "Is a directory")])

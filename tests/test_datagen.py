@@ -240,13 +240,6 @@ class TestSurvMnist:
         with pytest.raises(ConfigError):
             SurvMnistConfig(num_clusters=11)
 
-    @pytest.mark.parametrize("mean_survival", [1e-310, 1e308])
-    def test_out_of_range_times_name_mean_survival(self, mean_survival):
-        # the rates overflow (times 0) or the times do (inf), without warnings
-        config = SurvMnistConfig(num_samples=2000, mean_survival=mean_survival)
-        with pytest.raises(ConfigError, match=re.escape(f"mean_survival = {mean_survival} draws")):
-            gen_survmnist(config)
-
     def test_refuses_a_size_beyond_memory(self):
         with pytest.raises(ConfigError, match=re.escape(
                 f"num_clusters 5 and num_samples {10**17} need about ") + r"\d+\.\d GiB to simulate"):
@@ -452,6 +445,16 @@ class TestPreprocess:
         assert out.features.tobytes() == data.features.tobytes()
         np.testing.assert_array_equal(stats_.feature_mean, np.zeros(10))
         np.testing.assert_array_equal(stats_.feature_std, np.ones(10))
+
+    def test_stats_of_another_width_rejected(self):
+        # named as a ShapeError, not left to NumPy's broadcasting error
+        data = small_synth(seed=7)
+        _, stats_ = preprocess(data)
+        narrow = SurvivalDataset(data.features[:, :2], data.times, data.events)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"data has 2 features, the preprocessing statistics expect "
+                f"{data.features.shape[1]}")):
+            preprocess(narrow, stats_)
 
     def test_reapplication_without_stats_rejected(self):
         # there are no statistics to hand on to the test split, and stats
