@@ -81,7 +81,7 @@ def kmeans_fit(X, k, restarts=10, seed=0):
         centers = _kmeans_pp_init(X, k, rng)
         centers, inertia = _lloyd(X, centers)
         if best is None or inertia < best.inertia:
-            best = KMeansModel(centers.copy(), inertia)
+            best = KMeansModel(centers, inertia)
     return best
 
 
@@ -108,7 +108,7 @@ def gmm_em_fit(X, k, seed=0):
     km = kmeans_fit(X, k, restarts=3, seed=seed)
     labels = kmeans_assign(km, X)
     weights = np.maximum(np.bincount(labels, minlength=k) / n, 1e-12)
-    means = km.centers.copy()
+    means = km.centers
     variances = np.empty((k, d))
     for c in range(k):
         mask = labels == c
@@ -133,7 +133,6 @@ def gmm_em_fit(X, k, seed=0):
             warnings.warn("mixture component collapsed; flooring variances")
             variances = np.maximum(variances, VAR_FLOOR)
         if ll - prev_ll < 1e-6 * max(1.0, abs(ll)) and ll >= prev_ll:
-            prev_ll = ll
             break
         prev_ll = ll
     return DiagGmmModel(weights / weights.sum(), means, variances), trace

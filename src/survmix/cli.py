@@ -303,7 +303,7 @@ def cmd_train(data_path, values, out_path):
 
 
 def cmd_predict(checkpoint_path, data_path, out_path):
-    params, stats, meta = load_checkpoint(checkpoint_path)
+    params, stats, _ = load_checkpoint(checkpoint_path)
     dataset = load_csv(data_path)
     # Times and events are deliberately not passed: held-out prediction
     # must not peek at the outcome columns. Overflow warnings are silenced;

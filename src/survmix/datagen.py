@@ -75,10 +75,11 @@ class SurvivalDataset:
                                  f"the features, got {a.shape}")
         # Each check names its first offending row, counting from 0.
         if not (np.isfinite(self.features).all() and np.isfinite(self.times).all()):
-            table = np.column_stack([self.features, self.times])
-            i, j = np.argwhere(~np.isfinite(table))[0]
+            i = np.argmin(np.isfinite(self.features).all(axis=1) & np.isfinite(self.times))
+            row = np.append(self.features[i], self.times[i])  # features before time
+            j = np.argmin(np.isfinite(row))
             column = "time" if j == self.features.shape[1] else f"feature_{j}"
-            raise ConfigError(f"row {i}: {column} must be finite, got {table[i, j]}")
+            raise ConfigError(f"row {i}: {column} must be finite, got {row[j]}")
         for i in np.flatnonzero(self.times <= 0)[:1]:
             raise ConfigError(f"row {i}: time must be positive, got {self.times[i]}")
         for i in np.flatnonzero((events != 0) & (events != 1))[:1]:

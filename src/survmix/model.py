@@ -30,11 +30,12 @@ Every parameter lives in one store, ``ModelParams``: a name -> array
 dict whose construction checks that the arrays form one model and copies
 them into one contiguous float64 vector, ``ModelParams.vector``, in
 encoder, decoder, survival heads, mixture order. The networks and the
-mixture and survival arrays are read-only views of it, so the trainable
-parameters are the vector (the encoder and decoder one prefix of it,
-which pretraining updates). Each step ``elbo_grads`` writes the
-gradients in place into one buffer laid out the same way, and the ascent
-``adam_step`` updates the whole prefix from it in cache-sized blocks.
+mixture and survival arrays are views of it (``pretrain_init`` writes
+the mixture through them), so the trainable parameters are the vector
+(the encoder and decoder one prefix of it, which pretraining updates).
+Each step ``elbo_grads`` writes the gradients in place into one buffer
+laid out the same way by ``_views``, and the ascent ``adam_step``
+updates the whole prefix from it in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -57,15 +58,7 @@ from .dist import (
     weibull_censored_grads,
 )
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
-from .nnet import (
-    AdamState,
-    DenseNet,
-    adam_step,
-    net_backward,
-    net_forward,
-    pack,
-    views,
-)
+from .nnet import AdamState, DenseNet, adam_step, net_backward, net_forward
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 SCALE_FLOOR = 1e-8
@@ -121,8 +114,8 @@ class ModelParams:
     are indexed consistently. Construction raises ShapeError unless the
     tensors fit together (KeyError if one is missing), copies them into
     ``vector`` in encoder, decoder, survival, mixture order and keeps only
-    views of it; the networks and arrays below are read-only views of
-    tensors.
+    views of it; the networks and arrays below are views of tensors, so
+    writing through them writes ``vector``.
     """
 
     tensors: dict
@@ -130,7 +123,9 @@ class ModelParams:
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vector, self.tensors = pack(_layout(self.tensors))
+        layout = _layout(self.tensors)
+        self.vector = np.concatenate([np.ravel(a) for a in layout.values()], dtype=float)
+        self.tensors = _views(self.vector, layout)
 
     encoder = property(lambda self: _dense_net(self.tensors, "enc"))
     decoder = property(lambda self: _dense_net(self.tensors, "dec"))
@@ -146,10 +141,6 @@ class ModelParams:
     @property
     def num_clusters(self):
         return self.means.shape[0]
-
-    @property
-    def input_dim(self):
-        return self.encoder.input_dim
 
 
 def _dense_net(tensors, prefix):
@@ -187,6 +178,16 @@ def _layout(tensors):
             raise ShapeError(f"tensor {name!r} has shape {np.shape(tensors[name])}, "
                              f"expected {shape} to fit the other tensors")
     return {name: tensors[name] for name in expected}
+
+
+def _views(vector, like):
+    """name -> view of the 1-d vector, laid out like the arrays of like:
+    consecutive slices in dict order, each reshaped to its array's shape."""
+    out, start = {}, 0
+    for name, a in like.items():
+        out[name] = vector[start : start + np.size(a)].reshape(np.shape(a))
+        start += np.size(a)
+    return out
 
 
 def init_params(input_dim, config, rng):
@@ -394,7 +395,7 @@ def _train(params, names, X, t, event, epochs, config, rng, callback=None):
     """
     vector = params.vector[: sum(np.size(a) for a in names.values())]
     grad = np.zeros_like(vector)
-    grad_views = views(grad, names)
+    grad_views = _views(grad, names)
     state = AdamState()
     trace = []
     for epoch in range(epochs):
@@ -452,7 +453,10 @@ def check_features(X, config):
     Bernoulli log-likelihood has no upper bound: a DomainError names the
     first row and column outside it."""
     if config.recon_loss == "bce":
-        for i, j in np.argwhere(~((X >= 0.0) & (X <= 1.0)))[:1]:
+        inside = X >= 0.0  # nan compares false: outside
+        inside &= X <= 1.0
+        if not inside.all():
+            i, j = np.unravel_index(np.argmin(inside), X.shape)  # the first False, row-major
             raise DomainError(f"row {i}: feature_{j} is {X[i, j]}, but recon_loss bce "
                               f"needs features in [0, 1]")
 

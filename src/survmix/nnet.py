@@ -7,17 +7,14 @@ add and relu run in place on the GEMM result); the analytic backward
 pass reads the relu mask back from it, writes the parameter gradients
 into the caller's arrays and can skip the input gradient.
 
-A network only holds arrays; it owns no storage and draws no weights
-(``model.init_params`` does). ``pack`` copies a
-name->array dict into one contiguous float64 vector and ``views`` lays
-such a dict out over any vector of the same length (a gradient buffer,
-say), as reshaped views: ``model.ModelParams`` keeps every parameter in
-one such vector and builds its networks from views of it.
-``adam_step`` ascends, as its callers maximise. It updates each entry
-in blocks of ``ADAM_BLOCK`` elements through two scratch buffers kept in
-``AdamState``, so a whole parameter vector is updated in cache-sized
-pieces without temporaries, with the same floating-point operations in
-the same order as the textbook per-array update.
+A network only holds arrays: it owns no storage and draws no weights
+(``model`` does, and builds its networks from views of its one
+parameter vector). ``adam_step`` ascends, as its callers maximise. It
+updates each entry in blocks of ``ADAM_BLOCK`` elements through two
+scratch buffers kept in ``AdamState``, so a whole parameter vector is
+updated in cache-sized pieces without temporaries, with the same
+floating-point operations in the same order as the textbook per-array
+update.
 
 All arrays are float64, batches are stored as rows.
 """
@@ -96,28 +93,6 @@ def net_backward(net, posts, upstream, grads, input_grad=True):
         if i > 0 or input_grad:
             delta = delta @ net.weights[i].T
     return delta if input_grad else None
-
-
-def views(vector, like):
-    """name -> view of the 1-d vector, laid out like the arrays of like:
-    consecutive slices in dict order, each reshaped to its array's shape."""
-    out, start = {}, 0
-    for name, a in like.items():
-        size = np.size(a)
-        out[name] = vector[start : start + size].reshape(np.shape(a))
-        start += size
-    return out
-
-
-def pack(arrays):
-    """Copy a name -> array dict into one new contiguous float64 vector.
-
-    Returns (vector, views of it laid out like arrays)."""
-    vector = np.empty(sum(np.size(a) for a in arrays.values()))
-    out = views(vector, arrays)
-    for name, a in arrays.items():
-        out[name][...] = a
-    return vector, out
 
 
 @dataclass

@@ -5,8 +5,10 @@ import pytest
 
 from oracles import finite_diff_grad, fit_brute
 from survmix import datagen, model
+from survmix.cli import load_checkpoint, save_checkpoint
 from survmix.datagen import (
     TIME_OFFSET,
+    PreprocessStats,
     SurvivalDataset,
     SyntheticConfig,
     gen_synthetic,
@@ -476,6 +478,24 @@ class TestFitPredict:
             assert np.shares_memory(a, params.vector[offset : offset + a.size]), name
             offset += a.size
 
+    def test_any_tensors_become_views_of_one_float64_vector(self, tmp_path):
+        shapes = model._shapes(5, 3, 2, (6,), (4,))
+        rng = np.random.default_rng(0)
+        tensors = {name: rng.integers(-9, 9, shape) if i % 2 else
+                   rng.standard_normal(shape).astype(np.float32)
+                   for i, (name, shape) in enumerate(shapes.items())}
+        # handed over in reverse, float32 and int64 alike
+        params = ModelParams(dict(reversed(tensors.items())), 1.0)
+        expected = np.concatenate([np.ravel(tensors[name]).astype(float) for name in shapes])
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, PreprocessStats(1.0, np.zeros(5), np.ones(5)), {}, path)
+        for p in (params, load_checkpoint(path)[0]):
+            assert p.vector.dtype == np.float64
+            assert p.vector.tobytes() == expected.tobytes()
+            assert list(p.tensors) == list(shapes)
+            for name, a in p.tensors.items():
+                assert a.shape == shapes[name] and np.shares_memory(a, p.vector), name
+
     def test_weibull_scales_floor(self):
         rng = np.random.default_rng(11)
         params = init_params(4, tiny_config(), rng)
@@ -516,3 +536,38 @@ class TestMemoryGate:
                 fit(data, config)
         else:
             fit(data, config)
+
+
+class TestFirstBadCell:
+    # naming the first cell of a 20000 x 500 table (76 MB) copies no table
+    @staticmethod
+    def raised(error, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return str(info.value), peak
+
+    def test_check_features_names_the_first_cell_outside_the_unit_interval(self):
+        X = np.full((4, 5), 0.5)
+        X[2, 0], X[1, 3], X[3, 4] = -1.0, np.nan, 2.0  # nan lies outside [0, 1]
+        with pytest.raises(DomainError, match=r"^row 1: feature_3 is nan, but"):
+            model.check_features(X, tiny_config(recon_loss="bce"))
+        model.check_features(X, tiny_config())  # mse takes any finite features
+
+    def test_check_features_copies_no_table(self):
+        X = np.full((20000, 500), 5.0)
+        message, peak = self.raised(
+            DomainError, lambda: model.check_features(X, tiny_config(recon_loss="bce")))
+        assert message == "row 0: feature_0 is 5.0, but recon_loss bce needs features in [0, 1]"
+        assert peak < X.nbytes / 2
+
+    def test_dataset_copies_no_table(self):
+        X = np.full((20000, 500), np.nan)
+        message, peak = self.raised(
+            ConfigError, lambda: SurvivalDataset(X, np.ones(len(X)), np.zeros(len(X))))
+        assert message == "row 0: feature_0 must be finite, got nan"
+        assert peak < X.nbytes / 2
