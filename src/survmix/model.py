@@ -506,14 +506,19 @@ def predict(params, X, t=None, event=None):
     each the posterior-weighted mean of the components' medians given
     t > TIME_OFFSET, so that inverse_time_transform maps it above 0.
 
-    Uses z = mu_theta (no sampling). When (t, event) are given the label
-    posterior conditions on them; the predicted time always uses the
-    time-free posterior so held-out prediction never peeks at t. A
-    ConfigError names the sizes whose arrays would exceed the memory available.
+    Uses z = mu_theta (no sampling). When (t, event) are given, both of
+    shape (N,), the label posterior conditions on them; the predicted time
+    always uses the time-free posterior so held-out prediction never peeks
+    at t. A ShapeError names any other (t, event), and a ConfigError the
+    sizes whose arrays would exceed the memory available.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    # encode's layer outputs, _latent_scores's (N, K, J) residuals, the (N, K) scores
     n, k, j = len(X), params.num_clusters, params.latent_dim
+    shapes = [None if a is None else np.shape(a) for a in (t, event)]
+    if shapes not in ([None, None], [(n,), (n,)]):
+        raise ShapeError(f"t and event must both be None or both have shape ({n},), "
+                         f"got {shapes[0]} and {shapes[1]}")
+    # encode's layer outputs, _latent_scores's (N, K, J) residuals, the (N, K) scores
     need = 8 * n * (sum(b.size for b in params.encoder.biases) + k * (3 * j + 12))
     check_memory(need, "predict", num_clusters=k, latent_dim=j, rows=n)
     mu, _ = encode(params, X)

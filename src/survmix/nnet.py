@@ -10,11 +10,11 @@ into the caller's arrays and can skip the input gradient.
 A network only holds arrays: it owns no storage and draws no weights
 (``model`` does, and builds its networks from views of its one
 parameter vector). ``adam_step`` ascends, as its callers maximise. It
-updates each entry in blocks of ``ADAM_BLOCK`` elements through two
-scratch buffers kept in ``AdamState``, so a whole parameter vector is
-updated in cache-sized pieces without temporaries, with the same
-floating-point operations in the same order as the textbook per-array
-update.
+updates each entry, which must be C-contiguous, in place in blocks of
+``ADAM_BLOCK`` elements through one fixed (2, ``ADAM_BLOCK``) scratch
+kept in ``AdamState``, so a whole parameter vector is updated in
+cache-sized pieces without temporaries, with the same floating-point
+operations in the same order as the textbook per-array update.
 
 All arrays are float64, batches are stored as rows.
 """
@@ -98,12 +98,12 @@ def net_backward(net, posts, upstream, grads, input_grad=True):
 @dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict, and
-    the two scratch buffers of the blocked update."""
+    the (2, ADAM_BLOCK) scratch of the blocked update."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    scratch: np.ndarray | None = None  # (2, block) work space
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)))
 
 
 def adam_step(params, grads, state, lr):
@@ -111,31 +111,29 @@ def adam_step(params, grads, state, lr):
 
     Per element this is m = beta1*m + (1-beta1)*g, v = beta2*v +
     (1-beta2)*g*g, p += lr*m_hat / (sqrt(v_hat) + eps), evaluated in that
-    order over blocks of at most ADAM_BLOCK elements. A non-finite
-    gradient raises TrainingError naming its entry, before that entry is
-    changed.
+    order over blocks of at most ADAM_BLOCK elements. A non-finite gradient
+    raises TrainingError and a non-C-contiguous entry ShapeError, naming
+    the entry before it is changed.
     """
     state.step += 1
     t = state.step
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
-    block = min(ADAM_BLOCK, max([1, *(np.size(p) for p in params.values())]))
-    if state.scratch is None or state.scratch.shape[1] < block:
-        state.scratch = np.empty((2, block))
     for name, p in params.items():
         g = np.ravel(grads[name])
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        if not p.flags.c_contiguous:
+            raise ShapeError(f"parameter {name!r} is not C-contiguous")
         if name not in state.m:
             state.m[name] = np.zeros(np.shape(p))
             state.v[name] = np.zeros(np.shape(p))
         m = state.m[name].reshape(-1)
         v = state.v[name].reshape(-1)
-        # a non-contiguous parameter is updated through a contiguous copy
-        flat_p = p.reshape(-1) if p.flags.c_contiguous else p.flatten()
-        for start in range(0, flat_p.size, block):
-            ps, gs, ms, vs = (x[start : start + block] for x in (flat_p, g, m, v))
+        flat_p = p.reshape(-1)
+        for start in range(0, flat_p.size, ADAM_BLOCK):
+            ps, gs, ms, vs = (x[start : start + ADAM_BLOCK] for x in (flat_p, g, m, v))
             a, b = state.scratch[:, : ps.size]
             ms *= beta1
             np.multiply(gs, c1, out=a)
@@ -151,6 +149,4 @@ def adam_step(params, grads, state, lr):
             b *= lr
             b /= a
             ps += b
-        if not p.flags.c_contiguous:
-            p[...] = flat_p.reshape(p.shape)
     return params, state

@@ -50,6 +50,13 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans_fit(np.zeros((2, 2)), 3)
 
+    def test_coincident_points_fall_back_to_a_uniform_draw(self):
+        # once every point coincides with a chosen centre the D^2 weights
+        # are all zero, so k-means++ draws the next centre uniformly
+        model = kmeans_fit(np.full((5, 2), 3.0), 3, restarts=1, seed=0)
+        np.testing.assert_array_equal(model.centers, np.full((3, 2), 3.0))
+        assert model.inertia == 0.0
+
     def test_assign_checks_width(self):
         model = kmeans_fit(np.random.default_rng(0).standard_normal((10, 2)), 2)
         with pytest.raises(ShapeError):
@@ -81,6 +88,19 @@ class TestGmmEm:
         model, _ = gmm_em_fit(X, 4, seed=1)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(model.variances >= 1e-6 - 1e-15)
+
+    def test_too_few_rows(self):
+        with pytest.raises(ConfigError, match="^need at least 3 rows, got 2$"):
+            gmm_em_fit(np.zeros((2, 2)), 3)
+
+    def test_collapsed_component_warns_and_is_floored(self):
+        # five coincident points far from the rest: their component's EM
+        # variance is exactly 0, below VAR_FLOOR
+        rng = np.random.default_rng(6)
+        X = np.vstack([np.full((5, 2), 10.0), rng.standard_normal((50, 2))])
+        with pytest.warns(UserWarning, match="^mixture component collapsed; flooring variances$"):
+            model, _ = gmm_em_fit(X, 2, seed=0)
+        assert model.variances.min() == 1e-6
 
     def test_single_component_matches_moments(self):
         rng = np.random.default_rng(5)

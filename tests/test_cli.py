@@ -182,6 +182,14 @@ class TestDispatch:
         assert main(argv) == 0
         assert calls == [tuple(values if arg == "VALUES" else arg for arg in expected)]
 
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 8.0 GiB")
+
+        monkeypatch.setattr(cli, "cmd_predict", exhausted)
+        assert main(["predict", "--checkpoint", "m", "--data", "d.csv", "--out", "p"]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.0 GiB\n"
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, num_clusters=2, meta=()):

@@ -115,6 +115,10 @@ class TestGenSpd:
     def test_deterministic(self):
         np.testing.assert_array_equal(gen_spd(4, 3), gen_spd(4, 3))
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="^dimension must be >= 1$"):
+            gen_spd(0, 0)
+
 
 class TestGenLowRank:
     def test_tail_mode_effective_rank(self):
@@ -125,6 +129,11 @@ class TestGenLowRank:
         assert s[0] == pytest.approx(1.0, abs=0.05)
         assert s[2 * r] < 0.5 * s[0]
         assert s[-1] > 0.0
+
+    @pytest.mark.parametrize("m, n", [(0, 4), (4, 0)])
+    def test_dimension_below_one_rejected(self, m, n):
+        with pytest.raises(ConfigError, match="^dimensions must be >= 1$"):
+            gen_low_rank(m, n, seed=0)
 
 
 class TestSynthetic:

@@ -128,6 +128,11 @@ class TestWeibull:
             stats.weibull_min.median(1.3, scale=2.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize("scale, shape", [(0.0, 1.0), (1.0, 0.0)], ids=["scale", "shape"])
+    def test_median_rejects_nonpositive_parameters(self, scale, shape):
+        with pytest.raises(DomainError, match="^Weibull scale and shape must be positive$"):
+            weibull_median(scale, shape)
+
     def test_rejects_nonpositive_time(self):
         with pytest.raises(DomainError):
             log_weibull_censored(np.array([0.0]), np.array([1.0]),
@@ -150,6 +155,10 @@ class TestLogSumExp:
         got = log_sum_exp(a, axis=1)
         base = np.log(1 + np.exp(-1.0))
         np.testing.assert_allclose(got, [1000.0 + base, -1000.0 + base], rtol=1e-14)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="^log_sum_exp of an empty array$"):
+            log_sum_exp(np.zeros((0, 3)), axis=1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),

@@ -185,6 +185,9 @@ class TestCalibration:
     def test_none_with_under_two_events(self):
         assert calibration_slope([1.0, 2.0], [1.0, 2.0], [1, 0]) is None
 
+    def test_none_with_all_zero_predictions(self):
+        assert calibration_slope([1.0, 2.0], [0.0, 0.0], [1, 1]) is None
+
 
 class TestHungarian:
     def test_identity_matrix(self):
@@ -244,6 +247,15 @@ class TestClusteringScores:
     def test_empty_labels_rejected(self):
         with pytest.raises(ShapeError):
             clustering_accuracy([], [])
+
+    @pytest.mark.parametrize("score", [nmi, ari, clustering_accuracy])
+    def test_unequal_label_lengths_rejected(self, score):
+        with pytest.raises(ShapeError, match="^label arrays must have equal length$"):
+            score([0, 1, 1], [0, 1])
+
+    def test_ari_needs_two_points(self):
+        with pytest.raises(ShapeError, match="^need at least 2 points$"):
+            ari([0], [0])
 
     def test_many_distinct_labels_use_linear_memory(self):
         # 3000 true labels, 3 predicted: memory must stay O(U K), not O(U^2)

@@ -421,6 +421,16 @@ class TestFitPredict:
         assert pred.latent.shape == (200, 4)
         assert np.all(pred.median_time > 0)
 
+    @pytest.mark.parametrize("t_len, event_len", [(300, None), (None, 300), (5, 300), (300, 5)],
+                             ids=["t_without_event", "event_without_t", "short_t", "short_event"])
+    def test_outcomes_must_both_be_given_with_one_per_row(self, t_len, event_len):
+        rng = np.random.default_rng(0)
+        params = init_params(5, tiny_config(num_clusters=3), rng)
+        t, event = (None if n is None else rng.uniform(0.1, 1.0, n) for n in (t_len, event_len))
+        with pytest.raises(ShapeError, match=r"^t and event must both be None or both "
+                                             r"have shape \(300,\), got "):
+            predict(params, rng.standard_normal((300, 5)), t, event)
+
     def test_pretraining_path_runs(self):
         data = self.small_data()
         config = tiny_config(latent_dim=4, epochs=2, batch_size=64,
@@ -467,6 +477,18 @@ class TestFitPredict:
         phase = "pretraining " if pretrain_epochs else ""
         message = f"^{phase}epoch 0, batch 0: non-finite gradient for parameter '{name}'$"
         with pytest.raises(TrainingError, match=message):
+            fit(self.small_data(), config)
+
+    def test_nan_elbo_term_names_it(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            terms, grads = elbo_grads(*args, **kwargs)
+            terms.survival = np.nan
+            return terms, grads
+
+        monkeypatch.setattr(model, "elbo_grads", poisoned)
+        config = tiny_config(latent_dim=4, epochs=1, batch_size=64)
+        with pytest.raises(TrainingError,
+                           match="^epoch 0, batch 0: non-finite ELBO term: survival$"):
             fit(self.small_data(), config)
 
     def test_parameters_are_views_of_one_vector(self):

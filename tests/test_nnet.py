@@ -91,6 +91,10 @@ class TestForward:
         with pytest.raises(ShapeError):
             net_forward(net, [[1.0, 2.0, 3.0]])
 
+    def test_one_dimensional_batch_rejected(self):
+        with pytest.raises(ShapeError, match=r"^expected 2-d batch, got shape \(2,\)$"):
+            net_forward(identity_layer_net(2), [1.0, 2.0])
+
     def test_batch_equals_rowwise(self):
         rng = np.random.default_rng(0)
         net = random_net([3, 5, 2], rng)
@@ -123,6 +127,12 @@ class TestBackward:
         _, posts = net_forward(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
             backward(net, posts, np.ones((3, 2)))
+
+    def test_stack_depth_checked(self):
+        net = relu_then_identity_net(2)
+        _, posts = net_forward(net, [[1.0, 2.0]])
+        with pytest.raises(ShapeError, match="^stack does not match network depth$"):
+            backward(net, posts[1:], np.ones((1, 2)))
 
     def test_without_input_grad_same_parameter_grads(self):
         rng = np.random.default_rng(4)
@@ -287,14 +297,13 @@ class TestAdam:
             assert state.m[k].tobytes() == (0.0 - slow_state["m"][k]).tobytes(), k
             assert state.v[k].tobytes() == slow_state["v"][k].tobytes(), k
 
-    def test_non_contiguous_parameter_updated(self):
+    def test_non_contiguous_parameter_rejected(self):
         rng = np.random.default_rng(12)
         base = rng.standard_normal((6, 4))
-        g = rng.standard_normal((4, 6))
-        expected = {"p": base.T.copy()}
-        adam_step({"p": base.T}, {"p": g}, AdamState(), lr=0.1)
-        adam_brute(expected, {"p": -g}, {"m": {}, "v": {}, "step": 0}, lr=0.1)
-        assert base.T.tobytes() == expected["p"].tobytes()
+        before = base.tobytes()
+        with pytest.raises(ShapeError, match="'p'"):
+            adam_step({"p": base.T}, {"p": rng.standard_normal((4, 6))}, AdamState(), lr=0.1)
+        assert base.tobytes() == before
 
 
 class TestFiniteDiff:
