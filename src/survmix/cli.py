@@ -356,6 +356,8 @@ def _load_predictions(predictions_path, data_path):
 
 def cmd_evaluate(predictions_path, data_path, out_path):
     dataset, clusters, t_hat = _load_predictions(predictions_path, data_path)
+    if len(dataset) == 0:
+        raise FormatError(f"{data_path}: no rows to evaluate")
     report = metrics.evaluate_predictions(dataset.times, dataset.events, t_hat=t_hat, risk=-t_hat,
                                           true_labels=dataset.labels, pred_labels=clusters)
     with open(out_path, "w") as f:

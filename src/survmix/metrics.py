@@ -7,7 +7,7 @@ accuracy, NMI, ARI, and the Kaplan-Meier product-limit estimator.
 Every score that counts pairs or cells does so with array sorts and
 exact integer counts in O(N) memory: the concordance index by sorted
 doubling blocks, the clustering accuracy, NMI and ARI from the nonzero
-contingency cells.
+cells of one contingency table, which a report builds once for all three.
 """
 
 from __future__ import annotations
@@ -207,7 +207,10 @@ def _cells(a, b):
 def clustering_accuracy(true_labels, pred_labels):
     """Matched fraction under the optimal one-to-one label matching, found over
     the nonzero cells, the fewer labels as rows: O(N) memory for any label counts."""
-    rows, cols, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    return _accuracy(*_cells(true_labels, pred_labels))
+
+
+def _accuracy(rows, cols, counts, row_totals, col_totals):
     if len(row_totals) > len(col_totals):
         rows, cols, row_totals, col_totals = cols, rows, col_totals, row_totals
     order = np.argsort(rows, kind="stable")
@@ -222,7 +225,10 @@ def clustering_accuracy(true_labels, pred_labels):
 def nmi(true_labels, pred_labels):
     """Mutual information normalized by the geometric mean of entropies
     (natural logs); 0 when either labeling is constant."""
-    rows, cols, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    return _nmi(*_cells(true_labels, pred_labels))
+
+
+def _nmi(rows, cols, counts, row_totals, col_totals):
     n = counts.sum()
     pa = row_totals / n
     pb = col_totals / n
@@ -237,7 +243,10 @@ def nmi(true_labels, pred_labels):
 
 def ari(true_labels, pred_labels):
     """Pair-counting Rand index adjusted for chance."""
-    _, _, counts, row_totals, col_totals = _cells(true_labels, pred_labels)
+    return _ari(*_cells(true_labels, pred_labels))
+
+
+def _ari(rows, cols, counts, row_totals, col_totals):
     n = counts.sum()
     if n < 2:
         raise ShapeError("need at least 2 points")
@@ -274,7 +283,7 @@ def kaplan_meier(t, event):
 
 def evaluate_predictions(t, event, t_hat=None, risk=None,
                          true_labels=None, pred_labels=None):
-    """Assemble a MetricsReport from whatever inputs are available."""
+    """A MetricsReport from the inputs given; ACC, NMI and ARI share one contingency table."""
     report = MetricsReport()
     if risk is not None:
         report.ci = concordance_index(t, event, risk)
@@ -283,7 +292,6 @@ def evaluate_predictions(t, event, t_hat=None, risk=None,
         report.rae_c = rae_c(t, t_hat, event)
         report.cal = calibration_slope(t, t_hat, event)
     if true_labels is not None and pred_labels is not None:
-        report.acc = clustering_accuracy(true_labels, pred_labels)
-        report.nmi = nmi(true_labels, pred_labels)
-        report.ari = ari(true_labels, pred_labels)
+        cells = _cells(true_labels, pred_labels)
+        report.acc, report.nmi, report.ari = _accuracy(*cells), _nmi(*cells), _ari(*cells)
     return report

@@ -544,6 +544,26 @@ class TestCliErrors:
         assert code == 1
         assert "align" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_cluster", [True, False], ids=["cluster", "no_cluster"])
+    def test_evaluate_zero_rows_names_the_data_file(self, pipeline, tmp_path, capsys,
+                                                     with_cluster):
+        # predict and km-export write header-only outputs for a header-only
+        # data file; evaluate has nothing to score and says so
+        header = Path(pipeline["data"], "test.csv").read_text().split("\n", 1)[0]
+        data, pred, out = tmp_path / "data.csv", tmp_path / "pred.csv", tmp_path / "out"
+        data.write_text((header if with_cluster else header.removesuffix(",cluster")) + "\n")
+        assert main(["predict", "--checkpoint", pipeline["ckpt"], "--data", str(data),
+                     "--out", str(pred)]) == 0
+        assert pred.read_text().count("\n") == 1
+        code = main(["evaluate", "--predictions", str(pred), "--data", str(data),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {data}: no rows to evaluate\n"
+        assert not out.exists()
+        assert main(["km-export", "--predictions", str(pred), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "cluster,time,survival\n"
+
     @pytest.mark.parametrize("kind, text, key", [
         ("synthetic", "num_samples = abc\n", "num_samples"),
         ("survmnist", "num_samples = 2.5\n", "num_samples"),

@@ -17,6 +17,7 @@ from oracles import (
     rae_nc_brute,
 )
 from survmix.errors import DomainError, ShapeError
+from survmix import metrics
 from survmix.metrics import (
     MetricsReport,
     _assign_rows,
@@ -380,7 +381,50 @@ class TestKaplanMeier:
         assert surv.tobytes() == ref_surv.tobytes()
 
 
+def _seeded_labels(n, k, seed):
+    return np.random.default_rng(seed).integers(0, k, n)
+
+
+# (true labels, predicted labels) that evaluate_predictions scores from one
+# contingency table; "many_true" has more true labels than predicted ones,
+# so the accuracy scorer swaps rows and columns
+SHARED_TABLE_LABELS = {
+    "seeded_3_by_3": lambda: (_seeded_labels(1500, 3, 0), _seeded_labels(1500, 3, 1)),
+    "many_true": lambda: (np.arange(3000), np.arange(3000) % 3),
+    "constant_prediction": lambda: (_seeded_labels(1500, 3, 2), np.zeros(1500, dtype=int)),
+    "strings": lambda: (np.array(["a", "b", "c", "b"] * 50),
+                        np.array(["x", "x", "y", "z", "y"] * 40)),
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("case", sorted(SHARED_TABLE_LABELS))
+    def test_label_scores_equal_the_public_functions(self, case, monkeypatch):
+        true, pred = SHARED_TABLE_LABELS[case]()
+        tables, build = [], metrics._cells
+
+        def counted_cells(a, b):
+            tables.append(build(a, b))
+            return tables[-1]
+
+        monkeypatch.setattr(metrics, "_cells", counted_cells)
+        report = evaluate_predictions(t=[1.0], event=[1], true_labels=true, pred_labels=pred)
+        assert len(tables) == 1
+        monkeypatch.undo()
+        expected = (clustering_accuracy(true, pred), nmi(true, pred), ari(true, pred))
+        got = (report.acc, report.nmi, report.ari)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        if case == "constant_prediction":
+            assert report.nmi == 0.0
+
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0], [1], "^need at least 2 points$"),
+        ([0, 1, 1], [0, 1], "^label arrays must have equal length$"),
+    ], ids=["one_row", "unequal_lengths"])
+    def test_label_errors_pass_through(self, true, pred, message):
+        with pytest.raises(ShapeError, match=message):
+            evaluate_predictions(t=[1.0], event=[1], true_labels=true, pred_labels=pred)
+
     def test_assembler_fills_available_fields(self):
         report = evaluate_predictions(
             t=[1.0, 2.0, 3.0], event=[1, 1, 0], t_hat=[1.0, 2.0, 3.0],
