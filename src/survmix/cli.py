@@ -7,7 +7,10 @@ configuration is flat ``key = value`` text whose keys, each set at most
 once, are the fields of the run-config dataclasses plus test_fraction,
 with those dataclasses' defaults; building the dataclass checks the
 values. Checkpoints are a binary container of named float64 tensors,
-format version 2; a file of any other version is rejected.
+format version 2; a file of any other version is rejected. The writer
+writes each tensor from its own memory, copying none; the reader makes
+one read bounded by the file's size (so a pipe or /dev/zero reads as
+empty) and parses that buffer with one cursor.
 """
 
 from __future__ import annotations
@@ -128,64 +131,31 @@ def train_config_from(values):
 # --- checkpoint container ------------------------------------------------
 
 
-def _read_exact(f, n, path, what):
-    # n may come from a corrupt header: never ask for more than the file holds
-    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
-    if len(data) != n:
-        raise FormatError(
-            f"{path}: truncated {what} at byte {f.tell() - len(data)}: "
-            f"expected {n} bytes, got {len(data)}"
-        )
-    return data
-
-
-def _write_str(f, s):
-    data = s.encode("utf-8")
-    if len(data) > MAX_STR_BYTES:
-        raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
-    f.write(struct.pack("<H", len(data)))
-    f.write(data)
-
-
-def _read_str(f, path):
-    (n,) = struct.unpack("<H", _read_exact(f, 2, path, "string length"))
-    data = _read_exact(f, n, path, "string")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: string at byte {f.tell() - n} is not UTF-8: {exc}") from None
-
-
-def _read_u32(f, path, what):
-    return struct.unpack("<I", _read_exact(f, 4, path, what))[0]
-
-
 def save_checkpoint(params, stats, config_values, path):
-    """Binary container: magic, version, config echo, named tensors."""
-    tensors = dict(params.tensors)
-    tensors["surv.shape"] = np.asarray(params.shape)
-    tensors["stats.max_time"] = np.asarray(stats.max_time)
-    tensors["stats.feature_mean"] = stats.feature_mean
-    tensors["stats.feature_std"] = stats.feature_std
+    """Binary container: magic, version, config echo, named tensors. Each
+    tensor is written from its own memory, as little-endian float64; the
+    scalars are stored with shape (1,)."""
+    tensors = {**params.tensors, "surv.shape": params.shape, "stats.max_time": stats.max_time,
+               "stats.feature_mean": stats.feature_mean, "stats.feature_std": stats.feature_std}
+
+    def string(s):
+        data = s.encode("utf-8")
+        if len(data) > MAX_STR_BYTES:
+            raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
+        return struct.pack("<H", len(data)) + data
 
     # written beside the target, then renamed: a failed save leaves it as it was
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(config_values)))
+            f.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(config_values)))
             for key in sorted(config_values):
-                _write_str(f, key)
-                _write_str(f, str(config_values[key]))
+                f.write(string(key) + string(str(config_values[key])))
             f.write(struct.pack("<I", len(tensors)))
             for name in sorted(tensors):
-                arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=float))
-                _write_str(f, name)
-                f.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    f.write(struct.pack("<I", dim))
-                f.write(arr.astype("<f8").tobytes())
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")  # a scalar: shape (1,)
+                f.write(string(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -195,48 +165,65 @@ def save_checkpoint(params, stats, config_values, path):
 
 def load_checkpoint(path):
     """Returns (ModelParams, PreprocessStats, config echo dict); the
-    tensors alone define both. The file is read exactly as written: any
-    malformed or incomplete file, a repeated meta key or tensor name, or
-    a byte after the last tensor raises FormatError."""
+    tensors alone define both. The file is read once, at most its size
+    (so a pipe or /dev/zero reads as empty), and parsed exactly as
+    written: any malformed or incomplete file, a repeated meta key or
+    tensor name, or a byte after the last tensor raises FormatError."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        version = _read_u32(f, path, "version")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(
-                f"{path}: unsupported checkpoint version {version}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        meta = {}
-        for _ in range(_read_u32(f, path, "meta count")):
-            at, key = f.tell(), _read_str(f, path)
-            if key in meta:
-                raise FormatError(f"{path}: meta key {key!r} repeated at byte {at}")
-            meta[key] = _read_str(f, path)
-        tensors = {}
-        for _ in range(_read_u32(f, path, "tensor count")):
-            at, name = f.tell(), _read_str(f, path)
-            if name in tensors:
-                raise FormatError(f"{path}: tensor {name!r} repeated at byte {at}")
-            (rank,) = struct.unpack("<B", _read_exact(f, 1, path, "tensor rank"))
-            if rank > 2:  # no stored tensor has more axes
-                raise FormatError(f"{path}: tensor {name!r} has rank {rank} at byte "
-                                  f"{f.tell() - 1}, expected at most 2")
-            shape = [_read_u32(f, path, f"tensor {name!r} shape") for _ in range(rank)]
-            count = math.prod(shape)
-            payload = _read_exact(f, 8 * count, path, f"tensor {name!r}")
-            arr = np.frombuffer(payload, dtype="<f8").copy()
-            tensors[name] = arr.reshape(shape)
-        extra = os.fstat(f.fileno()).st_size - f.tell()
-        if extra:
-            raise FormatError(f"{path}: {extra} bytes after the last tensor at byte {f.tell()}")
+        data = memoryview(f.read(os.fstat(f.fileno()).st_size))
+    at = 0
+
+    def take(n, what):
+        # n may come from a corrupt header: compared with what is left, never allocated
+        nonlocal at
+        if len(data) - at < n:
+            raise FormatError(f"{path}: truncated {what} at byte {at}: "
+                              f"expected {n} bytes, got {len(data) - at}")
+        at += n
+        return data[at - n : at]
+
+    def string():
+        (n,) = struct.unpack("<H", take(2, "string length"))
+        try:
+            return str(take(n, "string"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: string at byte {at - n} is not UTF-8: {exc}") from None
+
+    magic = bytes(take(4, "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}, "
+                          f"expected {CHECKPOINT_VERSION}")
+    meta = {}
+    for _ in range(struct.unpack("<I", take(4, "meta count"))[0]):
+        start, key = at, string()
+        if key in meta:
+            raise FormatError(f"{path}: meta key {key!r} repeated at byte {start}")
+        meta[key] = string()
+    tensors = {}
+    for _ in range(struct.unpack("<I", take(4, "tensor count"))[0]):
+        start, name = at, string()
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name!r} repeated at byte {start}")
+        rank = take(1, "tensor rank")[0]
+        if rank > 2:  # no stored tensor has more axes
+            raise FormatError(f"{path}: tensor {name!r} has rank {rank} at byte "
+                              f"{at - 1}, expected at most 2")
+        shape = [struct.unpack("<I", take(4, f"tensor {name!r} shape"))[0] for _ in range(rank)]
+        payload = take(8 * math.prod(shape), f"tensor {name!r}")
+        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    if at != len(data):
+        raise FormatError(f"{path}: {len(data) - at} bytes after the last tensor at byte {at}")
 
     try:
         _check_entries(path, tensors)
-        params = ModelParams(tensors, float(tensors["surv.shape"][0]))
+        params = ModelParams(tensors, float(tensors["surv.shape"][0]))  # copies the tensors
+        # copies, so that no view keeps the file's buffer alive
         stats = PreprocessStats(float(tensors["stats.max_time"][0]),
-                                tensors["stats.feature_mean"], tensors["stats.feature_std"])
+                                tensors["stats.feature_mean"].copy(),
+                                tensors["stats.feature_std"].copy())
     except KeyError as exc:
         raise FormatError(f"{path}: missing checkpoint entry {exc}") from None
     except ShapeError as exc:

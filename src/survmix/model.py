@@ -470,11 +470,18 @@ def fit(data, config, callback=None):
     and two Adam moments), one batch's layer outputs and deltas and, with
     pretraining, the encoder's layer outputs over every row would exceed
     the memory available; then the features must pass check_features.
+    Pretraining fits its mixture to the encoded rows, so with
+    pretrain_epochs > 0 fewer rows than clusters is a ConfigError, raised
+    before any epoch.
     """
     rng = np.random.default_rng(config.seed)
     X = np.asarray(data.features, dtype=float)
     if X.shape[0] == 0:
         raise ShapeError("no training rows")
+    if config.pretrain_epochs > 0 and len(X) < config.num_clusters:
+        raise ConfigError(f"num_clusters {config.num_clusters} with pretrain_epochs "
+                          f"{config.pretrain_epochs} needs at least {config.num_clusters} "
+                          f"rows, got {len(X)}")
     shapes = _shapes(X.shape[1], config.latent_dim, config.num_clusters, config.enc_hidden,
                      config.dec_hidden)
     outputs = sum(s[1] for n, s in shapes.items() if ".W" in n)  # one row's, every layer

@@ -277,6 +277,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version 99"):
             load_checkpoint(str(p))
 
+    def test_endless_file_reads_as_empty(self, tmp_path, capsys):
+        # a file whose size is 0 but whose reads never end: the read is
+        # bounded by the size, not by the data
+        with pytest.raises(FormatError, match="/dev/zero: truncated magic at byte 0"):
+            load_checkpoint("/dev/zero")
+        self.predict_fails_with_one_line(tmp_path, capsys, "/dev/zero")
+
+    def test_every_flipped_byte_loads_or_is_format_error(self, tmp_path):
+        self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        data = path.read_bytes()
+        for i in range(len(data)):
+            path.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:])
+            with contextlib.suppress(FormatError):
+                load_checkpoint(str(path))
+
     def test_truncated_tensor_reports_offset(self, tmp_path):
         params, stats, _ = self.roundtrip(tmp_path)
         path = str(tmp_path / "model.ckpt")
@@ -307,6 +323,11 @@ class TestCheckpoint:
         "absurd_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
                         b"surv.shape\x02" + struct.pack("<3I", 65536, 65536, 1),
                         "truncated tensor 'surv.shape'"),
+        # dims (2^32-1, 2^32-1): a payload size no struct format can hold,
+        # compared as a byte count
+        "largest_dims": (b"surv.shape\x01" + struct.pack("<Id", 1, 1.0),
+                         b"surv.shape\x02" + struct.pack("<2I", 2**32 - 1, 2**32 - 1),
+                         "truncated tensor 'surv.shape'"),
     }
     # Containers holding more than the writer wrote, as (edit of the file's
     # bytes, message). Magic and version take bytes 0-8, the meta count
@@ -705,6 +726,22 @@ class TestCliErrors:
         assert code == 1
         assert errors == [f"error: {out}: cannot write: {reason}"]
         assert os.listdir(tmp_path) == ["ckpt_dir"] and os.listdir(tmp_path / "ckpt_dir") == []
+
+    def test_pretraining_more_clusters_than_rows_fails_before_any_epoch(self, pipeline, tmp_path,
+                                                                        capsys, monkeypatch):
+        monkeypatch.setattr(model, "_train", lambda *a: pytest.fail("an epoch ran"))
+        cfg = write_config(tmp_path, FAST_TRAIN.replace("num_clusters = 2", "num_clusters = 200")
+                           + "pretrain_epochs = 5\n")
+        data = os.path.join(pipeline["data"], "train.csv")
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        code = main(["train", "--data", data, "--config", cfg, "--out", str(out)])
+        errors = [msg for msg in capsys.readouterr().err.splitlines()
+                  if not msg.startswith("notice:")]
+        assert code == 1
+        assert errors == [f"error: num_clusters 200 with pretrain_epochs 5 needs at least 200 "
+                          f"rows, got {len(load_csv(data))}"]
+        assert not out.exists()
 
     def test_median_rounding_to_the_offset_exits_one(self, pipeline, tmp_path, capsys):
         # every Weibull scale at its floor, far below TIME_OFFSET: with shape

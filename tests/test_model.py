@@ -440,6 +440,23 @@ class TestFitPredict:
         # generally no longer uniform
         assert params.mixture_logits.shape == (2,)
 
+    def test_pretraining_more_clusters_than_rows_fails_before_any_epoch(self, monkeypatch):
+        # without pretraining K > N trains; with it the mixture fit would
+        # fail only after every pretraining epoch
+        class EpochRan(Exception):
+            pass
+
+        def train(*args, **kwargs):
+            raise EpochRan
+
+        data = self.small_data().subset(np.arange(40))
+        monkeypatch.setattr(model, "_train", train)
+        with pytest.raises(EpochRan):
+            fit(data, tiny_config(num_clusters=50))
+        with pytest.raises(ConfigError, match="^num_clusters 50 with pretrain_epochs 300 "
+                                              "needs at least 50 rows, got 40$"):
+            fit(data, tiny_config(num_clusters=50, pretrain_epochs=300))
+
     def test_training_error_names_epoch_and_batch(self):
         data = self.small_data()
         # finite, so the config is valid, but the first step overflows
