@@ -15,7 +15,7 @@ from .errors import DomainError
 def softplus(x):
     """log(1 + exp(x)), stable for large |x|."""
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def softplus_grad(x):
@@ -31,9 +31,10 @@ def log_gaussian_diag(z, mean, var):
     var = np.asarray(var, dtype=float)
     if np.any(var <= 0.0):
         raise DomainError("variances must be strictly positive")
-    return -0.5 * np.sum(
-        np.log(2.0 * np.pi * var) + (z - mean) ** 2 / var, axis=-1
-    )
+    r = np.subtract(z, mean, out=np.empty(np.broadcast_shapes(z.shape, mean.shape, var.shape)))
+    np.divide(np.square(r, out=r), var, out=r)
+    r += np.log(2.0 * np.pi * var)
+    return -0.5 * np.sum(r, axis=-1)
 
 
 def log_weibull_censored(t, event, scale, shape):
@@ -59,9 +60,10 @@ def weibull_censored_grads(t, event, scale, shape):
         raise DomainError("times must be strictly positive")
     if np.any(scale <= 0.0) or shape <= 0.0:
         raise DomainError("Weibull scale and shape must be positive")
-    log_ratio = np.log(t) - np.log(scale)
+    log_scale = np.log(scale)
+    log_ratio = np.log(t) - log_scale
     ratio_k = np.exp(shape * log_ratio)  # minus the log survival function
-    log_density_part = np.log(shape) - np.log(scale) + (shape - 1.0) * log_ratio
+    log_density_part = np.log(shape) - log_scale + (shape - 1.0) * log_ratio
     ll = event * log_density_part - ratio_k
     d_scale = (shape / scale) * (ratio_k - event)
     d_shape = event * (1.0 / shape + log_ratio) - ratio_k * log_ratio

@@ -18,6 +18,7 @@ encoder and decoder without times (reconstruction only), each under a
 TrainConfig checked when it was built. ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it.
+``predict`` and ``pretrain_init`` run only the encoder's J mean columns.
 
 One table, ``_shapes``, maps the sizes (D features, J latents, K
 clusters, hidden widths) to every tensor's name and shape: ``init_params``
@@ -41,9 +42,7 @@ updates the whole prefix from it in cache-sized blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field
-from functools import reduce
-from operator import add
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .datagen import TIME_OFFSET, check_memory
 from .dist import (
     log_gaussian_diag,
     log_sum_exp,
-    softmax,
     softplus,
     softplus_grad,
     weibull_censored_grads,
@@ -209,6 +207,12 @@ def encode(params, X):
     return _encoder_pass(params, np.atleast_2d(np.asarray(X, dtype=float)))[:2]
 
 
+def _encoded_means(params, X):
+    """Latent means for X: the encoder with its last layer cut to the first J columns."""
+    w, b, j = params.encoder.weights, params.encoder.biases, params.latent_dim
+    return net_forward(DenseNet((*w[:-1], w[-1][:, :j]), (*b[:-1], b[-1][:j])), X)[0]
+
+
 def _encoder_pass(params, X):
     """The encoder on X: latent mean, clamped log-variance and the forward stack."""
     out, posts = net_forward(params.encoder, X)
@@ -267,11 +271,15 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
 
 
 def _normalize_log_posterior(logits):
-    bad = np.flatnonzero(~np.isfinite(np.max(logits, axis=-1)))
+    """dist.softmax over the last axis, with no write into logits."""
+    vmax = np.max(logits, axis=-1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(vmax))
     if len(bad):
         raise TrainingError(f"degenerate cluster posterior: no component log-score "
                             f"is finite in row {bad[0]}")
-    return softmax(logits, axis=-1)
+    e = logits - vmax
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def cluster_posterior(params, Z, t, event):
@@ -296,12 +304,13 @@ class ElboTerms:
 
     @property
     def total(self):
-        return reduce(add, astuple(self))  # left to right; sum() compensates from Python 3.12
+        # left to right; sum() compensates from Python 3.12
+        return self.reconstruction + self.survival + self.clustering + self.prior + self.entropy
 
     def check_finite(self):
-        for name, value in asdict(self).items():
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite ELBO term: {name}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise TrainingError(f"non-finite ELBO term: {f.name}")
 
 
 def _recon_log_lik(dec_out, X, recon_loss):
@@ -310,7 +319,9 @@ def _recon_log_lik(dec_out, X, recon_loss):
     if recon_loss == "mse":
         # Unit-variance Gaussian decoder.
         grad = X - dec_out
-        ll = -0.5 * np.sum(grad**2 + np.log(2.0 * np.pi), axis=1)
+        sq = np.square(grad)
+        sq += np.log(2.0 * np.pi)
+        ll = -0.5 * np.sum(sq, axis=1)
     else:
         # Bernoulli decoder on logits: x*a - softplus(a).
         ll = np.sum(X * dec_out - softplus(dec_out), axis=1)
@@ -338,7 +349,8 @@ def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
     terms = ElboTerms(float(recon_ll.sum() / B), 0.0, 0.0, 0.0, 0.0)
 
     # Decoder, via the reconstruction term.
-    dZ = net_backward(params.decoder, dec_posts, recon_grad / B, _dense_net(grads, "dec"))
+    recon_grad /= B
+    dZ = net_backward(params.decoder, dec_posts, recon_grad, _dense_net(grads, "dec"))
 
     if t is not None:
         w_surv = config.survival_weight
@@ -440,8 +452,8 @@ def pretrain_init(params, X, config, rng):
     X = np.asarray(X, dtype=float)
     nets = {k: v for k, v in params.tensors.items() if k.startswith(("enc.", "dec."))}
     _train(params, nets, X, None, None, config.pretrain_epochs, config, rng)
-    mu, _ = encode(params, X)
-    gmm, _ = gmm_em_fit(mu, params.num_clusters, seed=int(rng.integers(2**31)))
+    gmm, _ = gmm_em_fit(_encoded_means(params, X), params.num_clusters,
+                        seed=int(rng.integers(2**31)))
     params.mixture_logits[:] = np.log(np.maximum(gmm.weights, 1e-12))
     params.means[:] = gmm.means
     params.log_vars[:] = np.log(gmm.variances)  # floored at baselines.VAR_FLOOR
@@ -528,15 +540,16 @@ def predict(params, X, t=None, event=None):
     # encode's layer outputs, _latent_scores's (N, K, J) residuals, the (N, K) scores
     need = 8 * n * (sum(b.size for b in params.encoder.biases) + k * (3 * j + 12))
     check_memory(need, "predict", num_clusters=k, latent_dim=j, rows=n)
-    mu, _ = encode(params, X)
+    mu = _encoded_means(params, X)
     scores = _latent_scores(params, mu, t, event)
     post = _normalize_log_posterior(scores.log_joint)
     prior_post = post if t is None else _normalize_log_posterior(scores.log_prior)
     # TIME_OFFSET = a is the least preprocessed time; the median given
-    # t > a solves t^k = ln 2 lam^k + a^k, scaled by max(lam, a) against overflow
-    lam, k = scores.scale, params.shape
+    # t > a solves t^k = ln 2 lam^k + a^k (shape k), scaled by max(lam, a) against overflow
+    lam, shape = scores.scale, params.shape
     top = np.maximum(lam, TIME_OFFSET)
-    medians = top * (np.log(2.0) * (lam / top) ** k + (TIME_OFFSET / top) ** k) ** (1.0 / k)
+    medians = top * (np.log(2.0) * (lam / top) ** shape
+                     + (TIME_OFFSET / top) ** shape) ** (1.0 / shape)
     t_hat = (prior_post * medians).sum(axis=1)
     labels = np.argmax(post, axis=1)  # argmax breaks ties toward lower index
     return Prediction(labels, post, mu, t_hat)

@@ -268,6 +268,31 @@ def fit_brute(data, config):
     return params, trace
 
 
+def softplus_where(x):
+    """log(1 + exp(x)) as two branches: x + log1p(exp(-|x|)) above 0,
+    log1p(exp(min(x, 0))) elsewhere."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+
+
+def log_gaussian_diag_expr(z, mean, var):
+    """Diagonal Gaussian log density summed over the last axis, one
+    expression with a fresh temporary per operation."""
+    z, mean, var = (np.asarray(a, dtype=float) for a in (z, mean, var))
+    return -0.5 * np.sum(
+        np.log(2.0 * np.pi * var) + (z - mean) ** 2 / var, axis=-1
+    )
+
+
+def softmax_rows(v):
+    """Softmax over the last axis, shifted by the row max, a fresh
+    temporary per operation."""
+    v = np.asarray(v, dtype=float)
+    vmax = np.max(v, axis=-1, keepdims=True)
+    e = np.exp(v - vmax)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def finite_diff_grad(loss, params, eps=1e-5):
     """Central-difference gradients of a scalar loss over a parameter dict.
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from oracles import log_gaussian_diag_expr, softplus_where
 from survmix.dist import (
     log_gaussian_diag,
     log_sum_exp,
@@ -32,6 +33,19 @@ class TestSoftplus:
         xs = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
         np.testing.assert_allclose(softplus_grad(xs), 1.0 / (1.0 + np.exp(-xs)), rtol=1e-12)
 
+    def test_byte_equal_to_two_branch_form(self):
+        # both branches share log1p(exp(-|x|)); the one-line form adds max(x, 0)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 37.0, -37.0, 709.0, -709.0,
+                          745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan])
+        rng = np.random.default_rng(11)
+        draws = np.concatenate([50.0 * rng.standard_normal(5000),
+                                rng.uniform(-800.0, 800.0, 5000)])
+        for x in (edges, draws, draws.reshape(100, 100)):
+            got, want = softplus(x), softplus_where(x)
+            nan = np.isnan(want)  # NaN stays NaN; its sign bit is not kept
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-700, 700))
     def test_monotone_positive_finite(self, x):
@@ -58,6 +72,23 @@ class TestLogGaussianDiag:
         var = rng.uniform(0.1, 3.0, 4)
         expected = stats.multivariate_normal(mean, np.diag(var)).logpdf(z)
         np.testing.assert_allclose(log_gaussian_diag(z, mean, var), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("z_shape, mean_shape, var_shape", [
+        ((40, 1, 5), (1, 3, 5), (1, 3, 5)),  # the rows-by-components layout the model uses
+        ((40, 5), (5,), (5,)),
+        ((5,), (3, 5), (3, 5)),  # z broadcast up to the variances' shape
+        ((5,), (5,), (4, 3, 5)),
+    ])
+    def test_byte_equal_to_expression_and_inputs_unwritten(self, z_shape, mean_shape,
+                                                           var_shape):
+        rng = np.random.default_rng(12)
+        z = 3.0 * rng.standard_normal(z_shape)
+        mean = rng.standard_normal(mean_shape)
+        var = rng.uniform(1e-3, 5.0, var_shape)
+        expected = log_gaussian_diag_expr(z, mean, var)
+        for a in (z, mean, var):
+            a.setflags(write=False)  # a write into an input raises
+        assert log_gaussian_diag(z, mean, var).tobytes() == expected.tobytes()
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, fit_brute
-from survmix import datagen, model
+from oracles import finite_diff_grad, fit_brute, softmax_rows
+from survmix import datagen, dist, model
 from survmix.cli import load_checkpoint, save_checkpoint
 from survmix.datagen import (
     TIME_OFFSET,
@@ -18,6 +19,7 @@ from survmix.errors import ConfigError, DomainError, ShapeError, TrainingError
 from survmix.model import (
     LOGVAR_MAX,
     LOGVAR_MIN,
+    ElboTerms,
     ModelParams,
     TrainConfig,
     cluster_posterior,
@@ -120,6 +122,33 @@ class TestEncodeReparam:
             (z - mu) / np.exp(0.5 * log_var), eps, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("j, enc_hidden", [
+        (16, (24, 20)),
+        (8, (20, 12, 40)),  # the last hidden width exceeds 2J
+    ])
+    def test_predict_latent_is_encode_mean(self, j, enc_hidden):
+        # predict runs the encoder with its last layer cut to the J mean
+        # columns. OpenBLAS's GEMM and GEMV kernels (Sandybridge, Haswell, Zen,
+        # SkylakeX, Cooperlake and SapphireRapids cores) sum them in the same
+        # order as the full 2J-column product when J is a multiple of 8; for
+        # other J the two may differ in the last bits.
+        rng = np.random.default_rng(9)
+        params = init_params(7, tiny_config(latent_dim=j, num_clusters=3,
+                                            enc_hidden=enc_hidden), rng)
+        for n in (1, 5, 300):
+            X = rng.standard_normal((n, 7))
+            t, event = rng.uniform(0.5, 3.0, n), rng.integers(0, 2, n).astype(float)
+            mu = encode(params, X)[0]
+            assert predict(params, X).latent.tobytes() == mu.tobytes()
+            assert predict(params, X, t, event).latent.tobytes() == mu.tobytes()
+
+    def test_predict_latent_is_encode_mean_to_rounding_at_any_width(self):
+        rng = np.random.default_rng(10)
+        params = init_params(7, tiny_config(latent_dim=3, enc_hidden=(9, 5)), rng)
+        X = rng.standard_normal((50, 7))
+        np.testing.assert_allclose(predict(params, X).latent, encode(params, X)[0],
+                                   rtol=0, atol=1e-14)
+
     def test_zero_variance_limit(self):
         mu = np.ones((2, 3))
         z, _ = reparameterize(mu, np.full((2, 3), -700.0), np.random.default_rng(0))
@@ -167,6 +196,24 @@ class TestClusterPosterior:
         short_lived = cluster_posterior(params, z, np.array([0.05]), np.array([1.0]))
         assert long_lived[0, 0] > short_lived[0, 0]
 
+    def test_normalized_log_posterior_is_softmax_on_finite_rows(self):
+        logits = np.random.default_rng(11).uniform(-500, 500, (60, 4))
+        logits[3, 1:] = -np.inf  # one finite entry is enough
+        logits.setflags(write=False)  # a write into the logits raises
+        got = model._normalize_log_posterior(logits)
+        assert got.tobytes() == dist.softmax(logits, axis=-1).tobytes()
+        assert got.tobytes() == softmax_rows(logits).tobytes()
+
+    def test_row_with_no_finite_log_score_is_named(self):
+        logits = np.zeros((5, 3))
+        logits[2] = -np.inf
+        logits[4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and raises no RuntimeWarning first
+            with pytest.raises(TrainingError, match="no component log-score is finite "
+                                                    "in row 2$"):
+                model._normalize_log_posterior(logits)
+
     def test_extreme_latents_stay_normalized(self):
         params = self.make_params()
         post = cluster_posterior_prior_only(params, np.array([[500.0, 0.0, 0.0]]))
@@ -185,6 +232,19 @@ class TestElbo:
         total = (terms.reconstruction + terms.survival + terms.clustering
                  + terms.prior + terms.entropy)
         assert terms.total == pytest.approx(total, rel=1e-14)
+
+    def test_total_sums_left_to_right(self):
+        # a compensated sum gives 2.5
+        terms = ElboTerms(1e16, 1.0, -1e16, 1.0, 0.5)
+        assert terms.total == (((1e16 + 1.0) + -1e16) + 1.0) + 0.5 == 1.5
+
+    def test_check_finite_names_the_term(self):
+        names = ("reconstruction", "survival", "clustering", "prior", "entropy")
+        for name, value in zip(names, (np.inf, np.nan, -np.inf, np.nan, np.inf)):
+            terms = ElboTerms(0.0, 0.0, 0.0, 0.0, 0.0)
+            setattr(terms, name, value)
+            with pytest.raises(TrainingError, match=f"^non-finite ELBO term: {name}$"):
+                terms.check_finite()
 
     def test_value_deterministic_for_frozen_noise(self):
         rng = np.random.default_rng(6)
