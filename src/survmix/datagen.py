@@ -8,10 +8,11 @@ surrogate features in [0, 1] standing in for the images. Each refuses a
 size that cannot fit in memory through check_memory, the model's gate too.
 preprocess alone decides the feature map, from the train split's values.
 
-Datasets are saved as CSV tables. One loop reads every table, splitting
-each row only as far as its caller's columns reach, converting only
-those cells and checking every row's width: load_csv reads every cell,
-load_outcomes only time, event and cluster.
+Datasets are saved as CSV tables. One loop reads every table, checking
+every row's width and converting only its caller's cells, with NumPy's
+C reader (np.loadtxt), so every read accepts one number syntax: load_csv
+hands it the raw lines, load_outcomes splits each row only as far as
+time, event and cluster reach and hands it those cells.
 """
 
 from __future__ import annotations
@@ -319,13 +320,17 @@ def _read_table(path, check_header):
     check_header(header) raises FormatError on a header it cannot use and
     returns (names, integer names): the columns the caller uses, and the
     integer ones among them. A header naming a column twice is rejected.
-    Each row is split only as far as the named cells reach, from its
-    nearer end; the far piece is one cell or the rest of the row, whose
-    commas complete the row's cell count, which is checked. Only the named
-    cells are converted: each to float, and an integer one also to int.
-    Returns the named columns as an (N, len(names)) float array and
-    {integer name: (N,) ints}. Errors name the first bad data row,
-    counting from 0.
+    Rows are read in blocks of about _BLOCK_CELLS cells, and NumPy's C
+    reader (np.loadtxt, through _parse) converts each block: when the
+    names are the whole header in order, its raw lines, whose widths the
+    reader and _parse check; otherwise the named cells of each row,
+    rejoined. Such a row is split only as far as the named cells reach,
+    from its nearer end; the far piece is one cell or the rest of the row,
+    whose commas complete the row's cell count, which is checked. Integer
+    cells come from the same one cut (a full read cuts only as far as the
+    integer names reach) and are converted to int as well. Returns the
+    named columns as an (N, len(names)) float array and {integer name:
+    (N,) ints}. Errors name the first bad data row, counting from 0.
     """
     with open(path, errors="replace") as f:  # undecodable bytes then fail as cells
         header = f.readline().rstrip("\n").split(",")
@@ -338,42 +343,84 @@ def _read_table(path, check_header):
                 raise FormatError(f"{path}: repeated column {name!r}")
         width, columns = len(header), [position[name] for name in names]
         integers = [position[name] for name in integer_names]
-        lo, hi = min(columns), max(columns)
+        full = columns == list(range(width))
+        reach = integers if full else columns
+        lo, hi = min(reach, default=0), max(reach, default=0)
         if hi + 1 <= width - lo:  # cells 0..hi, then the rest
             cut, maxsplit, far, shift = str.split, hi + 1, -1, 0
         else:  # the rest, then cells lo..width-1
             cut, maxsplit, far, shift = str.rsplit, width - lo, 0, 1 - lo
-        pick = None if columns == list(range(width)) else itemgetter(*[j + shift for j in columns])
-        at = [j + shift for j in integers]
+        join_used = None if full else _joiner([j + shift for j in columns])
+        join_ints = _joiner([j + shift for j in integers]) if integers else None
         step, first = max(1, _BLOCK_CELLS // width), 0
-        floats, ints = [np.empty((0, len(columns)))], [np.empty((0, len(at)), dtype=int)]
-        while rows := [cut(line.rstrip("\n"), ",", maxsplit) for line in islice(f, step)]:
+        floats, ints = [np.empty((0, len(columns)))], [np.empty((0, len(integers)), dtype=int)]
+        while lines := list(islice(f, step)):
             try:
-                if any(len(cells) + cells[far].count(",") != width for cells in rows):
+                rows = [cut(line.rstrip("\n"), ",", maxsplit) for line in lines] if reach else []
+                if full:  # the C reader refuses rows of unequal widths, _parse rows all of another
+                    floats.append(_parse(lines, float, width))
+                elif any(len(cells) + cells[far].count(",") != width for cells in rows):
                     raise ValueError("a row of another width, found below")
-                ints.append(np.array([[cells[k] for k in at] for cells in rows], dtype=int))
-                floats.append(np.array(rows if pick is None else list(map(pick, rows)),
-                                       dtype=float).reshape(len(rows), len(columns)))
+                else:
+                    floats.append(_parse(list(map(join_used, rows)), float, len(columns)))
+                if integers:
+                    ints.append(_parse(list(map(join_ints, rows)), int, len(integers)))
             except (ValueError, OverflowError):
-                _raise_bad_row(path, [",".join(cells).split(",") for cells in rows], first,
+                _raise_bad_row(path, [line.rstrip("\n").split(",") for line in lines], first,
                                width, columns, integers)
-            first += len(rows)
+            first += len(lines)
     return np.concatenate(floats), dict(zip(integer_names, np.concatenate(ints).T))
+
+
+def _joiner(at):
+    """cells -> the cells at the indices at, joined by commas."""
+    pick = itemgetter(*at)
+    return pick if len(at) == 1 else lambda cells: ",".join(pick(cells))
+
+
+def _parse(lines, kind, width):
+    """(len(lines), width) array of kind: lines of width comma-separated
+    numbers, parsed by NumPy's C reader; ValueError on any other line. The
+    reader skips blank lines, and warns when it finds no other, so a blank
+    line is refused before it runs, and the rows it returns are counted."""
+    if "" in lines or "\n" in lines:
+        raise ValueError("a blank row, found below")
+    values = np.loadtxt(lines, dtype=kind, delimiter=",", comments=None, ndmin=2)
+    if values.shape != (len(lines), width):
+        raise ValueError("a row the reader skipped, found below")
+    return values
 
 
 def _raise_bad_row(path, rows, first, width, columns, integers):
     """FormatError for the first of rows (split cells, the first being
-    row number first) that is not width cells long or whose cells at
-    columns are not floats, or at integers not ints. The message names
-    the first bad cell in row order, as a read of every cell would."""
+    row number first) that is not width cells long or holds a cell at
+    columns that NumPy's C reader does not read as a float, or at
+    integers as an int. The message names the first such cell, floats in
+    row order before ints, as a read of every cell would, in the words of
+    Python's float or int when that rejects the cell too."""
     for i, row in enumerate(rows, first):
         if len(row) != width:
             raise FormatError(f"{path}: row {i}: expected {width} cells, got {len(row)}")
+        used = [(float, [row[j] for j in sorted(columns)]), (int, [row[j] for j in integers])]
+        if all(_reads(cells, kind) for kind, cells in used if cells):
+            continue
+        kind, cell = next((kind, cell) for kind, cells in used for cell in cells
+                          if not _reads([cell], kind))
         try:
-            np.array([row[j] for j in sorted(columns)], dtype=float)
-            np.array([row[j] for j in integers], dtype=int)
+            np.array([cell], dtype=kind)
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: row {i}: non-numeric cell ({exc})") from None
+        raise FormatError(f"{path}: row {i}: non-numeric cell ({cell!r} is not "
+                          f"{kind.__name__} text that np.loadtxt reads)")
+
+
+def _reads(cells, kind):
+    """Whether NumPy's C reader parses each of the cells as kind."""
+    try:
+        _parse([",".join(cells)], kind, len(cells))
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def save_csv(dataset, path):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from survmix.datagen import (
     gen_synthetic,
     inverse_time_transform,
     load_csv,
+    load_outcomes,
     preprocess,
     save_csv,
     train_test_split,
@@ -334,6 +336,43 @@ class TestCsv:
         with pytest.raises(FormatError, match="row 1: non-numeric cell"):
             load_csv(p)
 
+    # text Python's float and int accept but NumPy's C reader does not:
+    # digit grouping, non-ASCII digits (Arabic-Indic, fullwidth)
+    PYTHON_ONLY = ["1_000", "\u0661", "\uff11"]
+
+    @pytest.mark.parametrize("cell", PYTHON_ONLY)
+    def test_python_only_number_text_is_a_non_numeric_cell(self, tmp_path, cell):
+        # every read shares one number syntax, the C reader's
+        p = tmp_path / "bad.csv"
+        p.write_text(f"feature_0,time,event,cluster\n1.0,2.0,1,0\n{cell},2.0,1,0\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"row 1: non-numeric cell ({cell!r} is not float text that np.loadtxt reads)")):
+            load_csv(p)
+        p.write_text(f"feature_0,time,event,cluster\n1.0,2.0,1,0\n1.0,2.0,1,{cell}\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"row 1: non-numeric cell ({cell!r} is not float text that np.loadtxt reads)")):
+            load_outcomes(p)
+
+    @pytest.mark.parametrize("cell", PYTHON_ONLY)
+    def test_python_only_number_text_in_an_unused_column_is_not_read(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"feature_0,time,event,cluster\n{cell},2.0,1,0\n", encoding="utf-8")
+        back = load_outcomes(p)
+        assert back.features.shape == (1, 0)
+        assert (back.times.tolist(), back.events.tolist(),
+                back.labels.tolist()) == ([2.0], [1], [0])
+
+    def test_whitespace_around_a_number_is_ignored(self, tmp_path):
+        # as str.isspace counts it, non-ASCII spaces included
+        p = tmp_path / "d.csv"
+        p.write_text("feature_0,time,event,cluster\n\u00a01.5\u3000, 2.0\t,1 ,\u2003 2\n",
+                     encoding="utf-8")
+        back = load_csv(p)
+        assert (back.features.tolist(), back.times.tolist(), back.events.tolist(),
+                back.labels.tolist()) == ([[1.5]], [2.0], [1], [2])
+
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("feature_0,when,event\n1.0,2.0,1\n")
@@ -423,6 +462,24 @@ class TestReadTable:
         if fault == "expected" or all(parses_as_float(cells[j])
                                       for j in range(width) if j not in columns):
             assert used == full
+
+    @pytest.mark.parametrize("body, block, integer, row", [
+        ("1\n2\n\n\n", 2, False, 2),  # a block of blank lines alone
+        ("1\n2\n\n\n", 2, True, 2),
+        ("1\n\n3\n", 3, False, 1),  # a blank line among numbers
+        ("1\n\n3\n", 3, True, 1),
+    ])
+    def test_blank_rows_are_named_without_a_warning(self, tmp_path, body, block, integer, row):
+        # np.loadtxt skips blank lines and warns when it finds nothing else
+        path = tmp_path / "table.csv"
+        path.write_text("a\n" + body)
+        check_header = lambda header: (["a"], ["a"] if integer else [])
+        with warnings.catch_warnings(), mock.patch.object(datagen, "_BLOCK_CELLS", block):
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=re.escape(
+                    f"table.csv: row {row}: non-numeric cell "
+                    "(could not convert string to float: '')")):
+                datagen._read_table(path, check_header)
 
     def test_repeated_header_name_is_rejected(self, tmp_path):
         # whichever of the two columns a reader took, the other is lost

@@ -2,6 +2,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 FAILING_PROPERTY = """
@@ -25,3 +28,9 @@ def test_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+def test_loadtxt_no_data_warning_is_an_error():
+    # a read that hands np.loadtxt only blank lines fails the suite
+    with pytest.raises(UserWarning, match="input contained no data"):
+        np.loadtxt(["\n"], delimiter=",", comments=None)
