@@ -17,7 +17,10 @@ runs that loop on every trainable parameter and ``pretrain_init`` on the
 encoder and decoder without times (reconstruction only), each under a
 TrainConfig checked when it was built. ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
-training pass, ``cluster_posterior*`` and ``predict`` all use it.
+training pass, ``cluster_posterior*`` and ``predict`` all use it. It
+scores every cluster from the per-cluster precision tables by two
+(N, J) x (J, K) products, and ``elbo_grads`` takes the mixture gradients
+from the responsibilities' moments, so neither builds an (N, K, J) array.
 ``predict`` and ``pretrain_init`` run only the encoder's J mean columns.
 
 One table, ``_shapes``, maps the sizes (D features, J latents, K
@@ -48,13 +51,7 @@ import numpy as np
 
 from .baselines import gmm_em_fit
 from .datagen import TIME_OFFSET, check_memory
-from .dist import (
-    log_gaussian_diag,
-    log_sum_exp,
-    softplus,
-    softplus_grad,
-    weibull_censored_grads,
-)
+from .dist import log_sum_exp, softplus, softplus_grad, weibull_censored_grads
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
 from .nnet import AdamState, DenseNet, adam_step, net_backward, net_forward
 
@@ -238,7 +235,8 @@ def weibull_scales(params, Z):
 class _LatentScores:
     """Per-row, per-component pieces of log p(c, z[, t]) for a batch of z."""
 
-    var: np.ndarray  # (K, J) component variances
+    prec: np.ndarray  # (K, J) component precisions exp(-log_vars)
+    mean_prec: np.ndarray  # (K, J) means * prec
     log_pz: np.ndarray  # (N, K) log p(z | c)
     log_pi: np.ndarray  # (K,) log mixture weights
     scale_pre: np.ndarray  # (N, K) Weibull scales before the softplus
@@ -250,9 +248,23 @@ class _LatentScores:
 
 
 def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
-    """Unnormalized log p(c, z[, t]) and its parts for Z of shape (N, J)."""
-    var = np.exp(params.log_vars)
-    log_pz = log_gaussian_diag(Z[:, None, :], params.means[None], var[None])
+    """Unnormalized log p(c, z[, t]) and its parts for Z of shape (N, J).
+
+    log p(z | c) is expanded over the precisions, -1/2 [(Z*Z) prec^T
+    - 2 Z (mean*prec)^T + sum_j (mean^2 prec + log 2 pi + log_var)], so
+    every cluster is scored by two (N, J) x (J, K) products. A variance
+    whose precision overflows (below about 5.6e-309, so subnormal) counts
+    as zero: DomainError.
+    """
+    with np.errstate(over="ignore"):
+        prec = np.exp(-params.log_vars)
+    if np.isinf(prec).any():
+        raise DomainError("variances must be strictly positive")
+    mean_prec = params.means * prec
+    log_pz = np.square(Z) @ prec.T
+    log_pz -= Z @ (2.0 * mean_prec).T
+    log_pz += np.sum(params.means * mean_prec + (np.log(2.0 * np.pi) + params.log_vars), axis=1)
+    log_pz *= -0.5
     log_pi = params.mixture_logits - log_sum_exp(params.mixture_logits)
     pre = Z @ params.betas[:, 1:].T + params.betas[:, 0]
     scale = np.maximum(softplus(pre), SCALE_FLOOR)
@@ -267,12 +279,15 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
         )
         if survival_weight != 0.0:
             log_joint = log_prior + survival_weight * log_pt
-    return _LatentScores(var, log_pz, log_pi, pre, scale, log_prior, log_joint, log_pt, dscale)
+    return _LatentScores(prec, mean_prec, log_pz, log_pi, pre, scale, log_prior, log_joint,
+                         log_pt, dscale)
 
 
 def _normalize_log_posterior(logits):
     """dist.softmax over the last axis, with no write into logits."""
-    vmax = np.max(logits, axis=-1, keepdims=True)
+    vmax = logits[..., :1].copy()  # the row max, one column at a time (NaN wins, as in np.max)
+    for c in range(1, logits.shape[-1]):
+        np.maximum(vmax, logits[..., c : c + 1], out=vmax)
     bad = np.flatnonzero(~np.isfinite(vmax))
     if len(bad):
         raise TrainingError(f"degenerate cluster posterior: no component log-score "
@@ -372,16 +387,16 @@ def elbo_grads(params, X, t, event, eps, config, grads, resp=None):
         grads["surv.betas"][:, 1:] = dpre.T @ Z
         dZ = dZ + dpre @ params.betas[:, 1:]
 
-        # Mixture parameters, via clustering and prior terms.
-        diff = Z[:, None, :] - params.means[None]  # (B, K, J)
-        w_diff = resp[:, :, None] / s.var[None] * diff
-        grads["mix.means"][...] = w_diff.sum(axis=0) / B
-        grads["mix.log_vars"][...] = (
-            resp[:, :, None] * (-0.5 + diff**2 / (2.0 * s.var[None]))
-        ).sum(axis=0) / B
-        pi = np.exp(s.log_pi)
-        grads["mix.logits"][...] = (resp - pi[None, :]).sum(axis=0) / B
-        dZ = dZ - w_diff.sum(axis=1) / B
+        # Mixture parameters, via clustering and prior terms, from the
+        # responsibilities' moments: no (B, K, J) array.
+        mass = resp.sum(axis=0)[:, None]  # (K, 1)
+        rz = resp.T @ Z
+        means = params.means
+        grads["mix.means"][...] = (rz - mass * means) * s.prec / B
+        rzz = resp.T @ np.square(Z) - 2.0 * means * rz + mass * np.square(means)
+        grads["mix.log_vars"][...] = 0.5 * (rzz * s.prec - mass) / B
+        grads["mix.logits"][...] = (mass[:, 0] - B * np.exp(s.log_pi)) / B
+        dZ = dZ - (Z * (resp @ s.prec) - resp @ s.mean_prec) / B
 
     # Reparameterization: z = mu + sigma * eps.
     dlogvar = dZ * eps * 0.5 * sigma
@@ -537,8 +552,8 @@ def predict(params, X, t=None, event=None):
     if shapes not in ([None, None], [(n,), (n,)]):
         raise ShapeError(f"t and event must both be None or both have shape ({n},), "
                          f"got {shapes[0]} and {shapes[1]}")
-    # encode's layer outputs, _latent_scores's (N, K, J) residuals, the (N, K) scores
-    need = 8 * n * (sum(b.size for b in params.encoder.biases) + k * (3 * j + 12))
+    # encode's layer outputs, _latent_scores's (N, J) square, the (N, K) scores
+    need = 8 * n * (sum(b.size for b in params.encoder.biases) + j + 12 * k)
     check_memory(need, "predict", num_clusters=k, latent_dim=j, rows=n)
     mu = _encoded_means(params, X)
     scores = _latent_scores(params, mu, t, event)

@@ -798,9 +798,9 @@ class TestCliErrors:
         # allocating; the child's address space is capped at 2 GiB, so a
         # missing check ends in MemoryError, not in a kill by the kernel
         cfg = write_config(tmp_path, FAST_TRAIN.replace("latent_dim = 3", f"latent_dim = {10**12}"))
-        # a 2 MB checkpoint whose (N, K, J) residuals outgrow twice the physical memory
-        k = j = 300
-        rows = 2 * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (8 * k * j) + 1
+        # a 0.4 MB checkpoint whose (N, K) scores outgrow twice the physical memory
+        k, j = 7500, 1
+        rows = 2 * os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (8 * 12 * k) + 1
         params = init_params(2, TrainConfig(latent_dim=j, num_clusters=k, enc_hidden=(),
                                             dec_hidden=()), np.random.default_rng(0))
         save_checkpoint(params, PreprocessStats(1.0, np.zeros(2), np.ones(2)), {},

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, fit_brute, softmax_rows
+from oracles import finite_diff_grad, fit_brute, log_gaussian_diag_expr, softmax_rows
 from survmix import datagen, dist, model
 from survmix.cli import load_checkpoint, save_checkpoint
 from survmix.datagen import (
@@ -219,6 +219,86 @@ class TestClusterPosterior:
         post = cluster_posterior_prior_only(params, np.array([[500.0, 0.0, 0.0]]))
         assert np.isfinite(post).all()
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLatentScores:
+    """_latent_scores expands log p(z | c) over the precisions p = exp(-log v),
+    -1/2 [sum z^2 p - 2 sum z m p + sum (m^2 p + log 2 pi + log v)], where the
+    oracle sums the residuals, -1/2 sum ((z - m)^2 / v + log 2 pi v). Each side
+    is a few sums of J terms: with u = 2^-53, each term carries at most about 4
+    roundings and a sum of J terms at most J - 1 more, each of a size bounded
+    by the sum of the terms' magnitudes. So each side is within about
+    (J + 5) u S of the exact value, S = sum_j ((|z_j| + |m_j|)^2 p_j +
+    |log 2 pi + log v_j|), and the two within 2 (J + 5) u S: the expansion's
+    error grows like |z|^2 p 2^-52, where the oracle's residual stays small."""
+
+    @staticmethod
+    def scores(Z, means, log_vars):
+        k, j = means.shape
+        params = init_params(4, tiny_config(latent_dim=j, num_clusters=k),
+                             np.random.default_rng(0))
+        params.means[:], params.log_vars[:] = means, log_vars
+        return model._latent_scores(params, Z).log_pz
+
+    def assert_near_oracle(self, Z, means, log_vars, got=None):
+        got = self.scores(Z, means, log_vars) if got is None else got
+        expected = log_gaussian_diag_expr(Z[:, None, :], means[None], np.exp(log_vars)[None])
+        size = (np.abs(Z)[:, None, :] + np.abs(means)) ** 2 * np.exp(-log_vars)
+        size += np.abs(np.log(2.0 * np.pi) + log_vars)
+        tol = 2 * (Z.shape[1] + 5) * 2.0**-53 * size.sum(axis=-1)
+        assert np.all(np.abs(got - expected) <= tol), np.max(np.abs(got - expected) / tol)
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(31)
+        Z = 3.0 * rng.standard_normal((300, 16))
+        self.assert_near_oracle(Z, rng.standard_normal((5, 16)),
+                                rng.uniform(-3.0, 3.0, (5, 16)))
+
+    def test_extreme_latent(self):
+        rng = np.random.default_rng(32)
+        Z = np.zeros((4, 3))
+        Z[:, 0] = [500.0, -500.0, 0.0, 1e-3]
+        self.assert_near_oracle(Z, rng.standard_normal((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("log_var", [LOGVAR_MIN, LOGVAR_MAX])
+    def test_log_vars_at_the_clamp_limits(self, log_var):
+        rng = np.random.default_rng(33)
+        log_vars = np.full((3, 8), log_var)
+        log_vars[1, ::2] = -log_var  # both limits in one cluster
+        self.assert_near_oracle(30.0 * rng.standard_normal((50, 8)),
+                                rng.standard_normal((3, 8)), log_vars)
+
+    def test_huge_mean_scores_its_cluster_minus_inf(self):
+        # test_cli's huge_mean checkpoint: the mean's square overflows, as
+        # the residual's does in the oracle (cmd_predict silences both)
+        rng = np.random.default_rng(34)
+        Z, means = rng.standard_normal((20, 3)), rng.standard_normal((2, 3))
+        log_vars = np.zeros((2, 3))
+        means[0, 0] = 1e200
+        with np.errstate(over="ignore"):
+            got = self.scores(Z, means, log_vars)
+        assert np.all(got[:, 0] == -np.inf)
+        self.assert_near_oracle(Z, means[1:], log_vars[1:], got[:, 1:])
+
+    def test_huge_log_var_scores_its_cluster_finite(self):
+        # test_cli's huge_log_var checkpoint: exp(800) overflows, so the oracle
+        # reads -inf, but the precision is 0 and the coordinate adds -(log 2 pi + 800) / 2
+        rng = np.random.default_rng(35)
+        Z, means = rng.standard_normal((20, 3)), rng.standard_normal((2, 3))
+        log_vars = np.zeros((2, 3))
+        log_vars[0, 0] = 800.0
+        got = self.scores(Z, means, log_vars)
+        rest = log_gaussian_diag_expr(Z[:, 1:], means[0, 1:], np.exp(log_vars[0, 1:]))
+        np.testing.assert_allclose(got[:, 0], rest - 0.5 * (np.log(2.0 * np.pi) + 800.0),
+                                   rtol=1e-13)
+
+    def test_variance_that_underflows_is_refused(self):
+        # a precision that overflows (variance 0 or subnormal) cannot score; no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for log_var in (-800.0, -np.inf):
+                with pytest.raises(DomainError, match="^variances must be strictly positive$"):
+                    self.scores(np.zeros((1, 2)), np.zeros((1, 2)), np.array([[0.0, log_var]]))
 
 
 class TestElbo:
@@ -610,7 +690,7 @@ class TestMemoryGate:
     HAVE = 4 << 20
 
     def test_predict_counts_the_encoder_outputs(self, monkeypatch):
-        # residuals and scores 8 N K (3J + 12) = 0.3 MB; encoder outputs 8 N (1000 + 2J) = 8 MB
+        # latent square and scores 8 N (J + 12 K) = 0.2 MB; encoder outputs 8 N (1000 + 2J) = 8 MB
         params = init_params(5, tiny_config(latent_dim=2, enc_hidden=(1000,)),
                              np.random.default_rng(0))
         monkeypatch.setattr(datagen, "_available_memory", lambda: self.HAVE)
@@ -635,6 +715,23 @@ class TestMemoryGate:
                 fit(data, config)
         else:
             fit(data, config)
+
+
+def test_predict_builds_no_cluster_by_latent_array():
+    # at 20000 rows, K=10 and J=64 one (N, K, J) float64 array is 102 MB; the
+    # (N, J) latent means and their square are 10 MB each, the (N, K) scores 1.6 MB
+    rng = np.random.default_rng(0)
+    config = tiny_config(latent_dim=64, num_clusters=10, enc_hidden=(16,))
+    params = init_params(5, config, rng)
+    X, t, event = tiny_batch(rng, n=20000, d=5)
+    tracemalloc.start()
+    try:
+        pred = predict(params, X, t, event)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.posterior.shape == (20000, 10)
+    assert peak < 40e6, peak
 
 
 class TestFirstBadCell:
