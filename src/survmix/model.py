@@ -19,8 +19,10 @@ TrainConfig checked when it was built. ``_latent_scores`` computes
 log p(z|c) + log pi, the Weibull scales and, given t, log p(t|z,c); the
 training pass, ``cluster_posterior*`` and ``predict`` all use it. It
 scores every cluster from the per-cluster precision tables by two
-(N, J) x (J, K) products, and ``elbo_grads`` takes the mixture gradients
-from the responsibilities' moments, so neither builds an (N, K, J) array.
+(N, J) x (J, K) products (a cluster whose mean lies more than 2^13 of its
+standard deviations from the origin, where that form would cancel, from
+its residuals), and ``elbo_grads`` takes the mixture gradients from the
+responsibilities' moments, so neither builds an (N, K, J) array.
 ``predict`` and ``pretrain_init`` run only the encoder's J mean columns.
 
 One table, ``_shapes``, maps the sizes (D features, J latents, K
@@ -55,8 +57,11 @@ from .dist import log_sum_exp, softplus, softplus_grad, weibull_censored_grads
 from .errors import ConfigError, DomainError, ShapeError, TrainingError
 from .nnet import AdamState, DenseNet, adam_step, net_backward, net_forward
 
-LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
+LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0  # the encoder's log-variances; the mixture's are not clamped
 SCALE_FLOOR = 1e-8
+# sum_j mean_j^2 / var_j beyond which a cluster is scored from its residuals
+# (its mean lies more than 2^13 of its own standard deviations from the origin)
+MAX_MEAN_DIST2 = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -252,18 +257,32 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
 
     log p(z | c) is expanded over the precisions, -1/2 [(Z*Z) prec^T
     - 2 Z (mean*prec)^T + sum_j (mean^2 prec + log 2 pi + log_var)], so
-    every cluster is scored by two (N, J) x (J, K) products. A variance
-    whose precision overflows (below about 5.6e-309, so subnormal) counts
-    as zero: DomainError.
+    every cluster is scored by two (N, J) x (J, K) products. Near its mean
+    the expansion cancels terms of size d2 = sum_j mean^2 prec and loses
+    about (J + 5) d2 2^-50 beside the residual form; a cluster with d2 above
+    MAX_MEAN_DIST2 (a loss of about (J + 5) 2^-24 nats) or overflowing is
+    scored from its residuals instead, one (N, J) temporary at a time, as
+    the residual form was before. A variance whose precision overflows
+    (below about 5.6e-309, so subnormal) counts as zero: DomainError.
     """
     with np.errstate(over="ignore"):
         prec = np.exp(-params.log_vars)
     if np.isinf(prec).any():
         raise DomainError("variances must be strictly positive")
     mean_prec = params.means * prec
-    log_pz = np.square(Z) @ prec.T
-    log_pz -= Z @ (2.0 * mean_prec).T
-    log_pz += np.sum(params.means * mean_prec + (np.log(2.0 * np.pi) + params.log_vars), axis=1)
+    with np.errstate(over="ignore"):
+        mean2_prec = params.means * mean_prec
+    far = ~(mean2_prec.sum(axis=1) <= MAX_MEAN_DIST2)  # inf too
+    near_prec, near_mean_prec = prec, mean_prec
+    if far.any():  # zeroed, so that their columns stay finite until rewritten
+        near_prec, near_mean_prec, mean2_prec = (np.where(far[:, None], 0.0, a)
+                                                 for a in (prec, mean_prec, mean2_prec))
+    log_pz = np.square(Z) @ near_prec.T
+    log_pz -= Z @ (2.0 * near_mean_prec).T
+    log_pz += np.sum(mean2_prec + (np.log(2.0 * np.pi) + params.log_vars), axis=1)
+    for k in np.flatnonzero(far):
+        r = np.square(Z - params.means[k])
+        log_pz[:, k] = np.sum(r * prec[k] + (np.log(2.0 * np.pi) + params.log_vars[k]), axis=1)
     log_pz *= -0.5
     log_pi = params.mixture_logits - log_sum_exp(params.mixture_logits)
     pre = Z @ params.betas[:, 1:].T + params.betas[:, 0]
@@ -285,9 +304,7 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
 
 def _normalize_log_posterior(logits):
     """dist.softmax over the last axis, with no write into logits."""
-    vmax = logits[..., :1].copy()  # the row max, one column at a time (NaN wins, as in np.max)
-    for c in range(1, logits.shape[-1]):
-        np.maximum(vmax, logits[..., c : c + 1], out=vmax)
+    vmax = np.max(logits, axis=-1, keepdims=True)
     bad = np.flatnonzero(~np.isfinite(vmax))
     if len(bad):
         raise TrainingError(f"degenerate cluster posterior: no component log-score "

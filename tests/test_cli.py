@@ -663,6 +663,7 @@ class TestCliErrors:
     PREDICT_EDITS = {
         "huge_log_var": ("mix.log_vars", (0, 0), 800.0, None),
         "huge_mean": ("mix.means", (0, 0), 1e200, None),
+        "max_mean": ("mix.means", (0, 0), 1e308, None),
         # finite, so the file loads, but every variance underflows to 0
         "tiny_log_vars": ("mix.log_vars", ..., -800.0, "variances must be strictly positive"),
         "huge_encoder_weight": ("enc.W0", (0, 0), 1e300,
@@ -690,6 +691,30 @@ class TestCliErrors:
         else:
             assert code == 1
             assert err == f"error: {ckpt}: {message}\n"
+
+    def test_sharp_clusters_at_a_rows_latent_split_it_exactly(self, pipeline, tmp_path,
+                                                              capsys):
+        # both clusters centred on row 0's latent, with variances e^-40 and,
+        # in one coordinate, e^-39: row 0's scores differ by exactly 1/2 plus
+        # the logits, a difference of two numbers near 1e17 in the expanded form
+        pred = np.loadtxt(pipeline["pred"], delimiter=",", skiprows=1)
+        params, stats, meta = load_checkpoint(pipeline["ckpt"])
+        k, j = params.means.shape
+        params.means[:] = pred[0, -j:]  # the latent columns, exact at %.17g
+        params.log_vars[:] = -40.0
+        params.log_vars[1, 0] = -39.0
+        ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "p.csv"
+        save_checkpoint(params, stats, meta, ckpt)
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", ckpt,
+                     "--data", os.path.join(pipeline["data"], "test.csv"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got[0, -j:], pred[0, -j:])
+        logits = params.mixture_logits
+        expected = 1.0 / (1.0 + np.exp(logits[1] - logits[0] - 0.5))
+        assert got[0, 2] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("line, message", [
         ("test_fraction = 1.5", "test_fraction must be in (0, 1)"),

@@ -261,20 +261,62 @@ class TestLatentScores:
         self.assert_near_oracle(Z, rng.standard_normal((2, 3)), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("log_var", [LOGVAR_MIN, LOGVAR_MAX])
-    def test_log_vars_at_the_clamp_limits(self, log_var):
+    def test_log_vars_at_the_encoder_clamp_limits(self, log_var):
+        # the encoder's log-variances are clamped to these; the mixture's are
+        # not (the far-cluster tests below go past them)
         rng = np.random.default_rng(33)
         log_vars = np.full((3, 8), log_var)
         log_vars[1, ::2] = -log_var  # both limits in one cluster
         self.assert_near_oracle(30.0 * rng.standard_normal((50, 8)),
                                 rng.standard_normal((3, 8)), log_vars)
 
-    def test_huge_mean_scores_its_cluster_minus_inf(self):
-        # test_cli's huge_mean checkpoint: the mean's square overflows, as
-        # the residual's does in the oracle (cmd_predict silences both)
+    def assert_residual_exact(self, Z, means, log_vars, got):
+        # the residual form's own bound: each coordinate's term carries a few
+        # roundings of its size, and the sum of J terms J - 1 more
+        expected = log_gaussian_diag_expr(Z[:, None, :], means[None], np.exp(log_vars)[None])
+        size = (Z[:, None, :] - means) ** 2 * np.exp(-log_vars)
+        size += np.abs(np.log(2.0 * np.pi) + log_vars)
+        tol = 2 * (Z.shape[1] + 5) * 2.0**-53 * size.sum(axis=-1)
+        assert np.all(np.abs(got - expected) <= tol), np.max(np.abs(got - expected) / tol)
+
+    def test_sharp_cluster_at_its_mean_is_scored_from_the_residuals(self):
+        # log_var -40 puts the mean about 1e9 standard deviations from the
+        # origin: expanded, its terms of about 1e17 would cancel to a score
+        # off by about 1e2 where z = mean; from the residuals it is exact
+        rng = np.random.default_rng(36)
+        means = rng.uniform(0.5, 2.0, (3, 4))
+        log_vars = np.zeros((3, 4))
+        log_vars[0] = -40.0
+        Z = np.vstack([means[0], means[0] + 1e-9, rng.standard_normal((8, 4))])
+        got = self.scores(Z, means, log_vars)
+        self.assert_residual_exact(Z, means[:1], log_vars[:1], got[:, :1])
+        self.assert_near_oracle(Z, means[1:], log_vars[1:], got[:, 1:])
+        # at z = mean the residual vanishes: only the normalizer of J = 4 is left
+        assert got[0, 0] == pytest.approx(-2.0 * (np.log(2.0 * np.pi) - 40.0), rel=1e-15)
+
+    def test_expansion_bound_holds_up_to_the_far_threshold(self):
+        # the nearest cluster to MAX_MEAN_DIST2 that is still expanded, and the
+        # nearest beyond it, which is scored from the residuals
+        j = 4
+        rng = np.random.default_rng(37)
+        means = np.tile(rng.uniform(0.5, 2.0, j), (2, 1))
+        # each coordinate a quarter of sum_j mean^2 / var, just below and above it
+        log_vars = np.log(j * means**2 / model.MAX_MEAN_DIST2) + [[1e-6], [-1e-6]]
+        Z = np.vstack([means[0], means[0] + 1e-5, means[0] + rng.standard_normal((6, j))])
+        got = self.scores(Z, means, log_vars)
+        self.assert_near_oracle(Z, means[:1], log_vars[:1], got[:, :1])
+        self.assert_residual_exact(Z, means[1:], log_vars[1:], got[:, 1:])
+
+    @pytest.mark.parametrize("mean, log_var", [(1e200, 0.0), (1e308, 0.0), (1e200, -300.0)])
+    def test_huge_mean_scores_its_cluster_minus_inf(self, mean, log_var):
+        # test_cli's huge_mean checkpoints: the residual's square, or that times
+        # the precision, overflows, so the cluster reads -inf, as in the oracle,
+        # and no other column is touched (cmd_predict silences the warnings)
         rng = np.random.default_rng(34)
         Z, means = rng.standard_normal((20, 3)), rng.standard_normal((2, 3))
+        Z[0] = 0.0
         log_vars = np.zeros((2, 3))
-        means[0, 0] = 1e200
+        means[0, 0], log_vars[0, 0] = mean, log_var
         with np.errstate(over="ignore"):
             got = self.scores(Z, means, log_vars)
         assert np.all(got[:, 0] == -np.inf)
