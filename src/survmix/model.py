@@ -261,9 +261,9 @@ def _latent_scores(params, Z, t=None, event=None, survival_weight=1.0):
     the expansion cancels terms of size d2 = sum_j mean^2 prec and loses
     about (J + 5) d2 2^-50 beside the residual form; a cluster with d2 above
     MAX_MEAN_DIST2 (a loss of about (J + 5) 2^-24 nats) or overflowing is
-    scored from its residuals instead, one (N, J) temporary at a time, as
-    the residual form was before. A variance whose precision overflows
-    (below about 5.6e-309, so subnormal) counts as zero: DomainError.
+    scored from its residuals instead, one (N, J) temporary at a time. A
+    variance whose precision overflows (below about 5.6e-309, so
+    subnormal) counts as zero: DomainError.
     """
     with np.errstate(over="ignore"):
         prec = np.exp(-params.log_vars)
