@@ -8,15 +8,21 @@ surrogate features in [0, 1] standing in for the images. Each refuses a
 size that cannot fit in memory through check_memory, the model's gate too.
 preprocess alone decides the feature map, from the train split's values.
 
-Datasets are saved as CSV tables. One loop reads every table, checking
-every row's width and converting only its caller's cells, with NumPy's
-C reader (np.loadtxt), so every read accepts one number syntax: load_csv
-hands it the raw lines, load_outcomes splits each row only as far as
-time, event and cluster reach and hands it those cells.
+Datasets are saved as CSV tables. One writer writes every table: it
+converts blocks of cells in arrays, rounding exactly, to the bytes that
+Python's %.17g and %d give one cell at a time, and leaves Python's % only
+the cells outside the fixed-notation range of %.17g (nan, inf, and
+magnitudes below 1e-4 or from 1e17). A table replaces its file only once
+it is complete. One loop reads every table, checking every row's width
+and converting only its caller's cells, with NumPy's C reader
+(np.loadtxt), so every read accepts one number syntax: load_csv hands it
+the raw lines, load_outcomes splits each row only as far as time, event
+and cluster reach and hands it those cells.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -291,7 +297,9 @@ def gen_survmnist(config):
     )
 
 
-# Cells per block of rows read or written: bounds the Python strings held.
+# Cells per block of rows read: bounds the Python strings a read holds. A
+# write formats blocks of an eighth as many cells (8192), since each cell
+# takes about 250 bytes of arrays while its text is made.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -300,17 +308,227 @@ def _write_table(path, header, columns):
 
     columns are (N,) or (N, width) arrays in header order. Integer columns
     are written as %d, all others as %.17g, which round-trips every
-    float64 exactly. Lines end in LF.
+    float64 exactly; _format_rows makes exactly those bytes. Lines end in
+    LF. The text goes to a temporary file beside path, renamed over it once
+    complete and removed on any failure, so a failed write leaves path as
+    it was; an OSError names path.
     """
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                    for c in columns for _ in range(c.shape[1])) + "\n"
-    step = max(1, _BLOCK_CELLS // len(header))
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), step):
-            block = np.hstack([c[start:start + step].astype(object) for c in columns])
-            f.writelines([line % tuple(row) for row in block.tolist()])
+    integer = np.concatenate([np.full(c.shape[1], c.dtype.kind in "biu") for c in columns])
+    step = max(1, (_BLOCK_CELLS >> 3) // len(integer))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for start in range(0, len(columns[0]), step):
+                f.write(_format_rows([c[start:start + step] for c in columns], integer))
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: cannot write: {exc.strerror or exc}") from None
+        raise
+
+
+# The cell formatter. A cell x in the fixed-notation range of %.17g
+# (0, or 1e-4 <= |x| < 1e17 where log10 puts it there) is written from its
+# 17 correctly rounded digits D = round-half-even(|x| * 10^(16 - E)),
+# E = floor(log10 |x|): 10^(16 - E) is an exact double there, and Dekker's
+# product gives the product exactly as hi + lo, two doubles, with no FMA
+# or extended type, so the bytes do not depend on the platform.
+# A line of at most 24 bytes is then put together in three little-endian
+# words from 4-digit lookups and tables of masks and shifts indexed by
+# (sign, E, significant digits, last cell of the row).
+_POW10 = np.array([float(10**k) for k in range(22)])  # exact doubles
+_VELTKAMP = float(2**27 + 1)  # splits a double into two halves of 26 bits
+_WORD = np.dtype("<u8")
+
+
+def _four_digit_tables():
+    """For 0 <= n < 10^4: the 4 ASCII digits of %04d as a little-endian
+    word, and their trailing zeros."""
+    n = np.arange(10000, dtype=np.uint16)
+    digits = np.zeros((len(n), 8), np.uint8)
+    for i in range(4):
+        digits[:, i] = 48 + n // 10**(3 - i) % 10
+    return digits.view(_WORD).ravel(), sum((n % 10**i == 0).view(np.int8) for i in (1, 2, 3, 4))
+
+
+_DIGITS4, _ZEROS4 = _four_digit_tables()
+
+
+def _halves(a):
+    """(high, low): a = high + low, each of at most 26 significant bits."""
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _times_pow10(a, k):
+    """(hi, lo): hi + lo = a * 10**k exactly, hi the rounded product (Dekker 1971)."""
+    hi = a * _POW10[k]
+    ah, al = _halves(a)
+    ph, pl = _POW10_HIGH[k], _POW10_LOW[k]
+    lo = ah * ph
+    lo -= hi
+    lo += ah * pl
+    lo += al * ph
+    lo += al * pl
+    return hi, lo
+
+
+def _line_tables():
+    """Per key ((sign * 21 + E + 4) * 17 + significant digits - 1) * 2 +
+    last cell of the row: the cell's text words with zeros where its digits
+    go, the masks of the digits before and after the point, the shifts in
+    bits that move them into place, and the length in bytes, separator
+    included."""
+    text, before, after = bytearray(), bytearray(), bytearray()
+    shift_before, shift_after, lengths = [], [], []
+    for sign in (b"", b"-"):
+        for e in range(-4, 17):
+            for s in range(1, 18):
+                if e < 0:  # 0.000ddd
+                    lead, n_before, n_after = sign + b"0." + b"0" * (-e - 1), 0, s
+                elif s > e + 1:  # ddd.ddd
+                    lead, n_before, n_after = sign + b"\0" * (e + 1) + b".", e + 1, s - e - 1
+                else:  # ddd
+                    lead, n_before, n_after = sign + b"\0" * (e + 1), e + 1, 0
+                for sep in b",\n":
+                    line = lead + b"\0" * n_after + bytes([sep])
+                    text += line.ljust(24, b"\0")
+                    before += (b"\xff" * n_before).ljust(24, b"\0")
+                    after += (b"\0" * n_before + b"\xff" * n_after).ljust(24, b"\0")
+                    shift_before.append(8 * len(sign))
+                    shift_after.append(8 * (len(lead) - n_before))
+                    lengths.append(len(line))
+    words = [np.frombuffer(t, _WORD).reshape(-1, 3).T.copy() for t in (text, before, after)]
+    return *words, np.array(shift_before, _WORD), np.array(shift_after, _WORD), np.array(lengths)
+
+
+_TEXT, _BEFORE, _AFTER, _SHIFT_BEFORE, _SHIFT_AFTER, _LENGTH = _line_tables()
+
+
+def _shift_up(words, bits, n):
+    """n little-endian words per column: the columns of words moved up by bits (< 64)."""
+    out = np.zeros((n, words.shape[1]), _WORD)
+    np.left_shift(words, bits, out=out[:len(words)])
+    out[1:len(words) + 1] |= words[:n - 1] >> (64 - bits)
+    return out
+
+
+def _decimal(x):
+    """(E, D, ok) of float64 cells x: ok where x is 0 or 1e-4 <= |x| < 1e17,
+    and there ±D * 10^(E - 16), 10^16 <= D < 10^17 (D = 0 for 0), is x
+    rounded half to even to 17 significant digits. E is floor(log10 |x|),
+    corrected where the exact product falls outside [10^16, 10^17)."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= -4) & (e <= 16)
+    zero = a == 0
+    e[~ok], a[~ok] = 0, 1.0
+    e = e.astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - e)
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # hi ± ulp(hi)/2 may be outside
+    if near.size:
+        h, l = hi[near], lo[near]
+        step = ((h > 1e17) | (h == 1e17) & (l >= 0)).astype(np.intp)
+        step -= (h < 1e16) | (h == 1e16) & (l < 0)
+        fix = near[step != 0]
+        e[fix] += step[step != 0]
+        beyond = (e[fix] < -4) | (e[fix] > 16)
+        ok[fix[beyond]], e[fix[beyond]] = False, 0
+        fix = fix[~beyond]
+        hi[fix], lo[fix] = _times_pow10(a[fix], 16 - e[fix])
+    # hi is an even integer here, so rounding lo half to even rounds hi + lo
+    # so. No product rounds up to 10^17: the double below 10^(E + 1) gives
+    # at most 10^17 - 8.
+    D = hi.astype(np.int64)
+    D += np.rint(lo).astype(np.int64)
+    D[zero] = 0
+    ok |= zero
+    return e, D, ok
+
+
+def _digits(D):
+    """The 17 digits of each D < 10^17 as ASCII bytes in three
+    little-endian words, and the count of them left when trailing zeros go
+    (1 for D = 0)."""
+    high = D // 10**8
+    low = D - high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    groups = g0, high - g0 * 10**4, g2, low - g2 * 10**4
+    zeros = _ZEROS4[g0]
+    for g in groups[1:]:
+        zeros = _ZEROS4[g] + (g == 0) * zeros
+    g0, g1, g2, g3 = (_DIGITS4[g] for g in groups)
+    words = np.empty((3, len(D)), _WORD)
+    np.add(first, 48, out=words[0], casting="unsafe")
+    words[0] |= g0 << 8 | g1 << 40
+    words[1] = g1 >> 24 | g2 << 8 | g3 << 40
+    words[2] = g3 >> 24
+    return words, 17 - zeros
+
+
+def _end_to_end(words, length):
+    """The cells' bytes, the first length of each column of words, end to
+    end: each cell's words moved to its byte offset and added into the
+    block's words, where no two cells overlap."""
+    end = np.cumsum(length)
+    start = end - length
+    placed = _shift_up(words, (start & 7).astype(_WORD) << 3, len(words) + 1)
+    start >>= 3
+    out = np.zeros(end[-1] // 8 + len(placed), _WORD)
+    for k, row in enumerate(placed):
+        np.add.at(out, start + k, row)
+    return out.view(np.uint8)[:end[-1]]
+
+
+def _format_rows(columns, integer):
+    """The text of a block of rows, as a uint8 array: columns are (rows,
+    width_i) arrays, integer flags each of their columns as %d, the others
+    are %.17g. Integers below 2^53 in magnitude are exact as float64 and
+    written as it; other cells outside _decimal's range go through Python's
+    own %."""
+    values = np.hstack(columns, dtype=float)
+    rows, width = values.shape
+    x = values.ravel()
+    e, D, ok = _decimal(x)
+    is_int = np.tile(integer, rows)
+    ok[is_int] &= np.abs(x[is_int]) < 2.0**53
+    digits, significant = _digits(D)
+    key = ((np.signbit(x) * 21 + e + 4) * 17 + significant - 1) * 2
+    key[width - 1::width] += 1
+    del values, x, e, D, significant  # the block's peak memory is in what follows
+
+    line = _shift_up(digits & np.take(_BEFORE, key, axis=1), _SHIFT_BEFORE[key], 3)
+    digits &= np.take(_AFTER, key, axis=1)
+    line |= _shift_up(digits, _SHIFT_AFTER[key], 3)
+    line |= np.take(_TEXT, key, axis=1)
+    length = _LENGTH[key]
+    special = np.flatnonzero(~ok)
+    if not special.size:
+        return _end_to_end(line, length)
+
+    cells = [(c, j) for c in columns for j in range(c.shape[1])]
+    texts = []
+    for i, j in zip(*np.divmod(special, width)):
+        column, k = cells[j]
+        texts.append(("%d" if integer[j] else "%.17g") % column[i, k]
+                     + ("\n" if j == width - 1 else ","))
+    line[:, special] = 0
+    length[special] = list(map(len, texts))
+    out = _end_to_end(line, length)
+    for end, text in zip(np.cumsum(length)[special].tolist(), texts):
+        out[end - len(text):end] = np.frombuffer(text.encode(), np.uint8)
+    return out
 
 
 def _read_table(path, check_header):

@@ -168,6 +168,19 @@ def save_csv_brute(dataset, path):
             writer.writerow(row)
 
 
+def write_table_brute(path, header, columns):
+    """A table as the per-row writer wrote it: every row one Python %
+    over a line of %d (integer columns) and %.17g (all others) cells,
+    the header line first, lines ending in LF."""
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                    for c in columns for _ in range(c.shape[1])) + "\n"
+    rows = np.hstack([c.astype(object) for c in columns]) if len(columns[0]) else []
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines([line % tuple(row) for row in rows])
+
+
 def read_table_brute(path, names, integer_names):
     """The named columns of a comma-separated table, every row split in
     full: (an (N, len(names)) float array, {integer name: int64 array}),

@@ -556,6 +556,20 @@ class TestCliErrors:
         assert code == 1
         assert "features" in capsys.readouterr().err
 
+    def test_predict_to_a_directory_names_it_and_leaves_nothing(self, pipeline, tmp_path,
+                                                                 capsys):
+        # the table goes to a temporary file first: the error names the path
+        # given, not the temporary, which is removed
+        out = tmp_path / "pred_dir"
+        out.mkdir()
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", pipeline["ckpt"],
+                     "--data", os.path.join(pipeline["data"], "test.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}: cannot write: Is a directory"]
+        assert os.listdir(tmp_path) == ["pred_dir"] and os.listdir(out) == []
+
     def test_evaluate_row_mismatch(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         pred.write_text("row_id,cluster,pred_time\n0,0,1.0\n")

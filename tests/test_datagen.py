@@ -1,4 +1,7 @@
+import errno
+import os
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import read_table_brute, save_csv_brute
+from oracles import read_table_brute, save_csv_brute, write_table_brute
 
 from survmix import datagen
 from survmix.datagen import (
@@ -487,6 +490,147 @@ class TestReadTable:
         path.write_text("a,b,a\n1,2,3\n")
         with pytest.raises(FormatError, match=r"table.csv: repeated column 'a'$"):
             datagen._read_table(path, lambda header: (["b"], []))
+
+
+def per_cell_text(header, columns):
+    """A table's bytes with every cell formatted on its own by Python's %:
+    %d for integer columns, %.17g for the others."""
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    formats = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in columns]
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(f % v for f, c in zip(formats, columns) for v in c[i].tolist()))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def written(path, header, columns):
+    datagen._write_table(path, header, columns)
+    return path.read_bytes()
+
+
+def pow10_neighbours():
+    """Every power of ten from 1e-330 to 1e308 (the smallest underflow to 0
+    or to subnormals) and the doubles one ulp either side."""
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    return np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+
+
+class TestWriteTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_write_table_matches_per_cell_formatting(self, tmp_path_factory, data):
+        # nan, ±inf, ±0.0 and subnormals come from st.floats(); int64 ends, 0,
+        # -1 and the ends of the integers a float64 holds exactly are drawn
+        # often; small blocks put several in one table
+        n = data.draw(st.integers(0, 12), label="rows")
+        floats = st.lists(st.floats(), min_size=n, max_size=n)
+        edges = [-2**63, 2**63 - 1, 0, -1, 2**53 - 1, 2**53, 2**53 + 1, -2**53 - 1, 10**17 - 1]
+        ints = st.lists(st.sampled_from(edges) | st.integers(-10**17, 10**17)
+                        | st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)
+        columns = [np.array(data.draw(floats), dtype=float),
+                   np.array(data.draw(ints), dtype=np.int64),
+                   np.array([data.draw(floats), data.draw(floats)], dtype=float).reshape(n, 2)]
+        header = ["x", "i", "y", "z"]
+        block = data.draw(st.integers(8, 64), label="block")
+        path = tmp_path_factory.getbasetemp() / "cells.csv"
+        with mock.patch.object(datagen, "_BLOCK_CELLS", block):
+            assert written(path, header, columns) == per_cell_text(header, columns)
+
+    def test_write_table_powers_of_ten_and_their_neighbours(self, tmp_path):
+        x = pow10_neighbours()
+        fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)
+        with np.errstate(divide="ignore"):
+            guess = np.floor(np.log10(np.abs(x[fixed])))
+        exponent = np.array([int(("%.16e" % v).split("e")[1]) for v in x[fixed]])
+        assert (guess != exponent).any()  # log10 is one off for some, and corrected
+        assert written(tmp_path / "t.csv", ["x", "y"], [x, -x]) == per_cell_text(["x", "y"],
+                                                                                   [x, -x])
+
+    def test_write_table_rounds_ties_half_to_even(self, tmp_path):
+        # both are exact doubles halfway between two 17-digit decimals
+        x = np.array([1000000000000000.25, 1000000000000000.75])
+        assert written(tmp_path / "t.csv", ["x"], [x]) == (
+            b"x\n1000000000000000.2\n1000000000000000.8\n")
+
+    def test_write_table_bool_single_and_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        assert written(path, ["b", "x"], [np.array([True, False]), np.array([0.5, -0.0])]) == (
+            b"b,x\n1,0.5\n0,-0\n")
+        assert written(path, ["x"], [np.array([1.5, 2.0, 1e-5])]) == (
+            b"x\n1.5\n2\n1.0000000000000001e-05\n")
+        assert written(path, ["x", "i", "j"], [np.empty(0), np.empty((0, 2), int)]) == b"x,i,j\n"
+
+    @pytest.mark.parametrize("table", ["pred", "km", "trace"])
+    def test_write_table_matches_per_row_writer(self, tmp_path, table):
+        # tables shaped as predict's pred.csv, km-export's km.csv and the
+        # training trace, long enough to take several blocks
+        rng = np.random.default_rng(3)
+        n = 4000
+        if table == "pred":
+            posterior = rng.dirichlet(np.ones(4), n)
+            header = (["row_id", "cluster"] + [f"p_{c}" for c in range(4)] + ["pred_time"]
+                      + [f"latent_{d}" for d in range(8)])
+            columns = [np.arange(n), posterior.argmax(axis=1), posterior,
+                       rng.weibull(1.5, n) * 300, rng.standard_normal((n, 8))]
+        elif table == "km":
+            header = ["cluster", "time", "survival"]
+            columns = [np.repeat(np.arange(4), n // 4), np.sort(rng.uniform(0, 900, n)),
+                       np.concatenate([np.cumprod(1 - 1 / np.arange(n // 4 + 1, 1, -1))] * 4)]
+        else:
+            header = ["epoch", "elbo"]
+            columns = [np.arange(n), -np.abs(rng.standard_normal(n)) * 10.0**rng.integers(0, 9, n)]
+        old = tmp_path / "old.csv"
+        write_table_brute(old, header, columns)
+        assert written(tmp_path / "new.csv", header, columns) == old.read_bytes()
+
+    @pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["disk_full", "interrupt"])
+    def test_write_table_failure_keeps_the_old_file(self, tmp_path, monkeypatch, fault):
+        # the first block is formatted and written, the second fails
+        path = tmp_path / "pred.csv"
+        path.write_text("old\n")
+        format_rows = datagen._format_rows
+        blocks = []
+
+        def failing(*args):
+            if blocks:
+                raise fault
+            blocks.append(format_rows(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(datagen, "_format_rows", failing)
+        monkeypatch.setattr(datagen, "_BLOCK_CELLS", 8 * 3 * 10)
+        message = re.escape(f"{path}: cannot write: No space left on device")
+        with pytest.raises(type(fault), match=message if isinstance(fault, OSError) else None):
+            datagen._write_table(path, ["a", "b", "c"], [np.ones((100, 3))])
+        assert len(blocks) == 1
+        assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["pred.csv"]
+
+    def test_save_csv_memory_is_bounded(self, tmp_path):
+        # the formatting arrays of one block, not of the table
+        rng = np.random.default_rng(0)
+        n = 20_000
+        data = SurvivalDataset(rng.standard_normal((n, 100)), rng.uniform(0.5, 2.0, n),
+                               rng.integers(0, 2, n), rng.integers(0, 3, n))
+        tracemalloc.start()
+        try:
+            save_csv(data, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.slow
+    def test_write_table_random_bit_patterns(self, tmp_path):
+        # 10^6 random doubles: half of any exponent, half with exponents
+        # about the fixed-notation range 1e-4 <= |x| < 1e17
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+        exponents = rng.integers(1023 - 16, 1023 + 59, 10**6 // 2, dtype=np.uint64)
+        bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        x = bits.view(np.float64).reshape(-1, 8)
+        header = [f"x{j}" for j in range(8)]
+        assert written(tmp_path / "t.csv", header, [x]) == per_cell_text(header, [x])
 
 
 class TestPreprocess:
