@@ -10,13 +10,15 @@ values. Checkpoints are a binary container of named float64 tensors,
 format version 2; a file of any other version is rejected. The writer
 writes each tensor from its own memory, copying none; the reader makes
 one read bounded by the file's size (so a pipe or /dev/zero reads as
-empty) and parses that buffer with one cursor.
+empty) and parses that buffer with one cursor. simulate's manifest is a
+run config that simulates the same tables again. Every file a command
+writes replaces its target only once complete (datagen._replacing), and
+every failure ends in one 'error:' line, an OSError's as '<file>: <reason>'.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import struct
@@ -40,6 +42,7 @@ from .datagen import (
     split_size,
     train_test_split,
     _read_table,
+    _replacing,
     _write_table,
 )
 from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixError, TrainingError
@@ -144,23 +147,15 @@ def save_checkpoint(params, stats, config_values, path):
             raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
         return struct.pack("<H", len(data)) + data
 
-    # written beside the target, then renamed: a failed save leaves it as it was
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(config_values)))
-            for key in sorted(config_values):
-                f.write(string(key) + string(str(config_values[key])))
-            f.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype="<f8")  # a scalar: shape (1,)
-                f.write(string(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-                f.write(arr)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with _replacing(path) as f:  # a failed save leaves path as it was
+        f.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(config_values)))
+        for key in sorted(config_values):
+            f.write(string(key) + string(str(config_values[key])))
+        f.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")  # a scalar: shape (1,)
+            f.write(string(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            f.write(arr)
 
 
 def load_checkpoint(path):
@@ -264,15 +259,15 @@ def cmd_simulate(kind, values, out_dir):
     os.makedirs(out_dir, exist_ok=True)  # after the generator: a refused size makes nothing
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
-    with open(os.path.join(out_dir, "manifest"), "w") as f:
-        f.write(f"kind = {kind}\n")
-        for key in sorted(values):
-            f.write(f"{key} = {values[key]}\n")
+    # a run config (kind is a comment) that simulates the same tables again
+    text = f"# kind = {kind}\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(values))
+    with _replacing(os.path.join(out_dir, "manifest")) as f:
+        f.write(text.encode())
 
 
 def cmd_train(data_path, values, out_path):
     config = train_config_from(values)
-    tmp = f"{out_path}.{os.getpid()}.tmp"  # save_checkpoint's, tried before the fit
+    tmp = f"{out_path}.{os.getpid()}.tmp"  # _replacing's, tried before the fit
     try:
         open(tmp, "wb").close()
         os.remove(tmp)
@@ -347,8 +342,8 @@ def cmd_evaluate(predictions_path, data_path, out_path):
         raise FormatError(f"{data_path}: no rows to evaluate")
     report = metrics.evaluate_predictions(dataset.times, dataset.events, t_hat=t_hat, risk=-t_hat,
                                           true_labels=dataset.labels, pred_labels=clusters)
-    with open(out_path, "w") as f:
-        f.write(report.to_text())
+    with _replacing(out_path) as f:
+        f.write(report.to_text().encode())
 
 
 def cmd_km_export(predictions_path, data_path, out_path):
@@ -407,6 +402,8 @@ def main(argv=None):
     try:
         args.run(args)
     except (SurvmixError, OSError) as exc:
+        if getattr(exc, "filename", None) is not None:  # not "[Errno 2] ...: 'nope.csv'"
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -12,12 +12,12 @@ Datasets are saved as CSV tables. One writer writes every table: it
 converts blocks of cells in arrays, rounding exactly, to the bytes that
 Python's %.17g and %d give one cell at a time, and leaves Python's % only
 the cells outside the fixed-notation range of %.17g (nan, inf, and
-magnitudes below 1e-4 or from 1e17). A table replaces its file only once
-it is complete. One loop reads every table, checking every row's width
-and converting only its caller's cells, with NumPy's C reader
-(np.loadtxt), so every read accepts one number syntax: load_csv hands it
-the raw lines, load_outcomes splits each row only as far as time, event
-and cluster reach and hands it those cells.
+magnitudes below 1e-4 or from 1e17). Every file the CLI writes replaces
+its target through _replacing, only once complete. One loop reads every
+table, checking every row's width and converting only its caller's cells,
+with NumPy's C reader (np.loadtxt), so every read accepts one number
+syntax: load_csv hands it the raw lines, load_outcomes splits each row
+only as far as time, event and cluster reach and hands it those cells.
 """
 
 from __future__ import annotations
@@ -303,25 +303,16 @@ def gen_survmnist(config):
 _BLOCK_CELLS = 1 << 16
 
 
-def _write_table(path, header, columns):
-    """Write comma-separated text: the header line, then one line per row.
-
-    columns are (N,) or (N, width) arrays in header order. Integer columns
-    are written as %d, all others as %.17g, which round-trips every
-    float64 exactly; _format_rows makes exactly those bytes. Lines end in
-    LF. The text goes to a temporary file beside path, renamed over it once
-    complete and removed on any failure, so a failed write leaves path as
-    it was; an OSError names path.
-    """
-    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    integer = np.concatenate([np.full(c.shape[1], c.dtype.kind in "biu") for c in columns])
-    step = max(1, (_BLOCK_CELLS >> 3) // len(integer))
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file, the temporary <path>.<pid>.tmp beside path, renamed
+    over path once the block completes and removed if it raises, so a failed
+    write leaves path as it was. Any OSError, the rename's too, is raised as
+    '<path>: cannot write: <reason>', naming path, not the temporary."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write((",".join(header) + "\n").encode())
-            for start in range(0, len(columns[0]), step):
-                f.write(_format_rows([c[start:start + step] for c in columns], integer))
+            yield f
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -329,6 +320,23 @@ def _write_table(path, header, columns):
         if isinstance(exc, OSError):
             raise OSError(f"{path}: cannot write: {exc.strerror or exc}") from None
         raise
+
+
+def _write_table(path, header, columns):
+    """Write comma-separated text: the header line, then one line per row.
+
+    columns are (N,) or (N, width) arrays in header order. Integer columns
+    are written as %d, all others as %.17g, which round-trips every
+    float64 exactly; _format_rows makes exactly those bytes. Lines end in
+    LF. The table replaces path only once complete (see _replacing).
+    """
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    integer = np.concatenate([np.full(c.shape[1], c.dtype.kind in "biu") for c in columns])
+    step = max(1, (_BLOCK_CELLS >> 3) // len(integer))
+    with _replacing(path) as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), step):
+            f.write(_format_rows([c[start:start + step] for c in columns], integer))
 
 
 # The cell formatter. A cell x in the fixed-notation range of %.17g

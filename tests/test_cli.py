@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -265,6 +266,19 @@ class TestCheckpoint:
         assert path.read_bytes() == good
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
+    @pytest.mark.parametrize("out, reason", [
+        ("missing/m.ckpt", "No such file or directory"), ("ckpt_dir", "Is a directory")])
+    def test_unwritable_save_names_the_path_given(self, tmp_path, out, reason):
+        # the error names the path given, not the temporary, which is removed
+        params, stats, _ = self.roundtrip(tmp_path)
+        (tmp_path / "ckpt_dir").mkdir()
+        path = str(tmp_path / out)
+        with pytest.raises(OSError) as info:
+            save_checkpoint(params, stats, {"epochs": "3"}, path)
+        assert str(info.value) == f"{path}: cannot write: {reason}"
+        assert sorted(os.listdir(tmp_path)) == ["ckpt_dir", "model.ckpt"]
+        assert os.listdir(tmp_path / "ckpt_dir") == []
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"NOPE" + bytes(64))
@@ -461,6 +475,23 @@ class TestPipeline:
         assert "kind = synthetic" in manifest
         assert "seed = 5" in manifest
 
+    @pytest.mark.parametrize("seed", [None, 7], ids=["config_seed", "seed_flag"])
+    def test_manifest_simulates_the_same_tables_again(self, pipeline, tmp_path, capsys, seed):
+        # the manifest sets every key, so no default is noticed, and records
+        # the seed a --seed flag gave
+        first = pipeline["data"]
+        if seed is not None:
+            first = str(tmp_path / "seeded")
+            assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
+                         "--out", first, "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        again = tmp_path / "again"
+        assert main(["simulate", "--kind", "synthetic",
+                     "--config", os.path.join(first, "manifest"), "--out", str(again)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("train.csv", "test.csv", "manifest"):
+            assert (again / name).read_bytes() == Path(first, name).read_bytes(), name
+
     def test_train_outputs(self, pipeline):
         assert os.path.exists(pipeline["ckpt"])
         trace = Path(pipeline["ckpt"] + ".trace.csv").read_text().splitlines()
@@ -540,6 +571,17 @@ class TestCliErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_input_is_one_line_naming_it(self, pipeline, tmp_path, capsys):
+        missing = str(tmp_path / "nope")
+        for argv in (["train", "--data", missing, "--config", pipeline["cfg"]],
+                     ["predict", "--checkpoint", missing, "--data", pipeline["pred"]]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+            errors = [msg for msg in capsys.readouterr().err.splitlines()
+                      if not msg.startswith("notice:")]
+            assert errors == [f"error: {missing}: No such file or directory"]
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -569,6 +611,66 @@ class TestCliErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out}: cannot write: Is a directory"]
         assert os.listdir(tmp_path) == ["pred_dir"] and os.listdir(out) == []
+
+    def test_evaluate_to_a_directory_names_it_and_leaves_nothing(self, pipeline, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        capsys.readouterr()
+        code = main(["evaluate", "--predictions", pipeline["pred"],
+                     "--data", os.path.join(pipeline["data"], "test.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out}: cannot write: Is a directory\n"
+        assert os.listdir(tmp_path) == ["out_dir"] and os.listdir(out) == []
+
+    @pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["disk_full", "interrupt"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_failed_write_keeps_the_old_file(self, pipeline, tmp_path, monkeypatch, capsys,
+                                             command, fault):
+        # the write to the manifest's or report's temporary stores half its
+        # bytes, then fails; the old file stays and no temporary is left
+        if command == "simulate":
+            (tmp_path / "d").mkdir()
+            path = tmp_path / "d" / "manifest"
+            argv = ["--kind", "synthetic", "--config", pipeline["cfg"], "--out", str(path.parent)]
+        else:
+            path = tmp_path / "report.txt"
+            argv = ["--predictions", pipeline["pred"],
+                    "--data", os.path.join(pipeline["data"], "test.csv"), "--out", str(path)]
+        path.write_text("old\n")
+        real_open = open
+
+        class Filling:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise fault
+
+        def filling_open(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            return Filling(f) if os.path.basename(file).startswith(path.name + ".") else f
+
+        monkeypatch.setattr(datagen, "open", filling_open, raising=False)
+        capsys.readouterr()
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main([command] + argv)
+        else:
+            assert main([command] + argv) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"error: {path}: cannot write: No space left on device")
+        assert path.read_text() == "old\n"
+        assert sorted(os.listdir(path.parent)) == (
+            ["manifest", "test.csv", "train.csv"] if command == "simulate" else ["report.txt"])
 
     def test_evaluate_row_mismatch(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
