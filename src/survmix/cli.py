@@ -12,7 +12,8 @@ writes each tensor from its own memory, copying none; the reader makes
 one read bounded by the file's size (so a pipe or /dev/zero reads as
 empty) and parses that buffer with one cursor. simulate's manifest is a
 run config that simulates the same tables again. Every file a command
-writes replaces its target only once complete (datagen._replacing), and
+writes replaces its target only once complete (datagen._replacing),
+simulate's two tables and manifest all three together, and
 every failure ends in one 'error:' line, an OSError's as '<file>: <reason>'.
 """
 
@@ -38,11 +39,12 @@ from .datagen import (
     load_csv,
     load_outcomes,
     preprocess,
-    save_csv,
     split_size,
     train_test_split,
+    _csv_table,
     _read_table,
     _replacing,
+    _write_rows,
     _write_table,
 )
 from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixError, TrainingError
@@ -147,7 +149,7 @@ def save_checkpoint(params, stats, config_values, path):
             raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
         return struct.pack("<H", len(data)) + data
 
-    with _replacing(path) as f:  # a failed save leaves path as it was
+    with _replacing(path) as (f,):  # a failed save leaves path as it was
         f.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(config_values)))
         for key in sorted(config_values):
             f.write(string(key) + string(str(config_values[key])))
@@ -257,12 +259,14 @@ def cmd_simulate(kind, values, out_dir):
     split_size(gen_config.num_samples, test_fraction)  # fails before the draw
     train, test = train_test_split(generate(gen_config), test_fraction, gen_config.seed)
     os.makedirs(out_dir, exist_ok=True)  # after the generator: a refused size makes nothing
-    save_csv(train, os.path.join(out_dir, "train.csv"))
-    save_csv(test, os.path.join(out_dir, "test.csv"))
     # a run config (kind is a comment) that simulates the same tables again
     text = f"# kind = {kind}\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(values))
-    with _replacing(os.path.join(out_dir, "manifest")) as f:
-        f.write(text.encode())
+    # none replaces its old self until all three are complete
+    names = ("train.csv", "test.csv", "manifest")
+    with _replacing(*(os.path.join(out_dir, name) for name in names)) as files:
+        for split in (train, test):
+            _write_rows(next(files), *_csv_table(split))
+        next(files).write(text.encode())
 
 
 def cmd_train(data_path, values, out_path):
@@ -342,7 +346,7 @@ def cmd_evaluate(predictions_path, data_path, out_path):
         raise FormatError(f"{data_path}: no rows to evaluate")
     report = metrics.evaluate_predictions(dataset.times, dataset.events, t_hat=t_hat, risk=-t_hat,
                                           true_labels=dataset.labels, pred_labels=clusters)
-    with _replacing(out_path) as f:
+    with _replacing(out_path) as (f,):
         f.write(report.to_text().encode())
 
 

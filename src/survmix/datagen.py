@@ -10,10 +10,12 @@ preprocess alone decides the feature map, from the train split's values.
 
 Datasets are saved as CSV tables. One writer writes every table: it
 converts blocks of cells in arrays, rounding exactly, to the bytes that
-Python's %.17g and %d give one cell at a time, and leaves Python's % only
-the cells outside the fixed-notation range of %.17g (nan, inf, and
-magnitudes below 1e-4 or from 1e17). Every file the CLI writes replaces
-its target through _replacing, only once complete. One loop reads every
+Python's %.17g and %d give one cell at a time, in fixed notation and in
+exponent form down to 1e-28, and leaves Python's % only nan, inf,
+magnitudes below 1e-28 or from 1e17, integers from 2^53 and the rare
+near-tie of a two-step product. Every file the CLI writes replaces its
+target through _replacing, only once complete; simulate's three files
+replace theirs together. One loop reads every
 table, checking every row's width and converting only its caller's cells,
 with NumPy's C reader (np.loadtxt), so every read accepts one number
 syntax: load_csv hands it the raw lines, load_outcomes splits each row
@@ -304,53 +306,86 @@ _BLOCK_CELLS = 1 << 16
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """A binary file, the temporary <path>.<pid>.tmp beside path, renamed
-    over path once the block completes and removed if it raises, so a failed
-    write leaves path as it was. Any OSError, the rename's too, is raised as
-    '<path>: cannot write: <reason>', naming path, not the temporary."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _replacing(*paths):
+    """An iterator of binary files, one for each of paths in turn: the
+    temporary <path>.<pid>.tmp beside each, opened when the block takes it
+    and closed when it takes the next. The block takes every file. Once it
+    completes, and only then, each temporary is renamed over its path; if
+    anything raises first, every temporary is removed, so a failed write
+    leaves all of paths as they were. Any OSError, a rename's too, is raised
+    as '<path>: cannot write: <reason>', naming the path of the file then
+    written, closed or renamed, not its temporary. A single file is taken
+    with: with _replacing(path) as (f,)."""
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    at = 0  # the index of the path an OSError names
+    current = contextlib.ExitStack()  # the file last taken
+
+    def files():
+        nonlocal at
+        for i, tmp in enumerate(tmps):
+            current.close()
+            at = i
+            yield current.enter_context(open(tmp, "wb"))
+
     try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
+        yield files()
+        current.close()
+        for at, (tmp, path) in enumerate(zip(tmps, paths)):
+            os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
-            os.remove(tmp)
+            current.close()
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError):
-            raise OSError(f"{path}: cannot write: {exc.strerror or exc}") from None
+            raise OSError(f"{paths[at]}: cannot write: {exc.strerror or exc}") from None
         raise
 
 
 def _write_table(path, header, columns):
-    """Write comma-separated text: the header line, then one line per row.
+    """Write a table (see _write_rows) that replaces path only once
+    complete (see _replacing)."""
+    with _replacing(path) as (f,):
+        _write_rows(f, header, columns)
+
+
+def _write_rows(f, header, columns):
+    """Write comma-separated text to the binary file f: the header line,
+    then one line per row.
 
     columns are (N,) or (N, width) arrays in header order. Integer columns
     are written as %d, all others as %.17g, which round-trips every
-    float64 exactly; _format_rows makes exactly those bytes. Lines end in
-    LF. The table replaces path only once complete (see _replacing).
+    float64 exactly; _format_rows makes exactly those bytes, in blocks of
+    _BLOCK_CELLS / 8 cells. Lines end in LF.
     """
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     integer = np.concatenate([np.full(c.shape[1], c.dtype.kind in "biu") for c in columns])
     step = max(1, (_BLOCK_CELLS >> 3) // len(integer))
-    with _replacing(path) as f:
-        f.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), step):
-            f.write(_format_rows([c[start:start + step] for c in columns], integer))
+    f.write((",".join(header) + "\n").encode())
+    for start in range(0, len(columns[0]), step):
+        f.write(_format_rows([c[start:start + step] for c in columns], integer))
 
 
-# The cell formatter. A cell x in the fixed-notation range of %.17g
-# (0, or 1e-4 <= |x| < 1e17 where log10 puts it there) is written from its
-# 17 correctly rounded digits D = round-half-even(|x| * 10^(16 - E)),
-# E = floor(log10 |x|): 10^(16 - E) is an exact double there, and Dekker's
-# product gives the product exactly as hi + lo, two doubles, with no FMA
-# or extended type, so the bytes do not depend on the platform.
+# The cell formatter. A cell x with E = floor(log10 |x|) in [-28, 16] (or
+# x = 0) is written from its 17 correctly rounded digits
+# D = round-half-even(|x| * 10^(16 - E)), so %.17g writes it in fixed
+# notation for E >= -4 and in exponent form below. 10^k is an exact double
+# for k <= 22, and Dekker's product gives |x| * 10^k exactly as hi + lo,
+# two doubles, with no FMA or extended type, so the bytes do not depend on
+# the platform. For 22 < k <= 44 the product is made in two steps, by
+# 10^22 and then by 10^(k - 22), to within 2^-48 (see _scaled), and the
+# rare cell whose product lies within 2^-40 of a rounding tie is left to
+# Python's %.
 # A line of at most 24 bytes is then put together in three little-endian
 # words from 4-digit lookups and tables of masks and shifts indexed by
 # (sign, E, significant digits, last cell of the row).
-_POW10 = np.array([float(10**k) for k in range(22)])  # exact doubles
+# 10^min(k, 22): exact doubles, and for k > 22 the first of two steps
+_POW10 = np.array([float(10**min(k, 22)) for k in range(45)])
 _VELTKAMP = float(2**27 + 1)  # splits a double into two halves of 26 bits
 _WORD = np.dtype("<u8")
+_E_MIN = -28  # 16 - E <= 44 = 22 + 22: two steps of at most 10^22
+_LEAST = np.nextafter(1e-28, 1.0)  # the least double >= 10^-28; the double 1e-28 is below it
 
 
 def _four_digit_tables():
@@ -377,7 +412,8 @@ _POW10_HIGH, _POW10_LOW = _halves(_POW10)
 
 
 def _times_pow10(a, k):
-    """(hi, lo): hi + lo = a * 10**k exactly, hi the rounded product (Dekker 1971)."""
+    """(hi, lo): hi + lo = a * 10**min(k, 22) exactly, hi the rounded
+    product (Dekker 1971)."""
     hi = a * _POW10[k]
     ah, al = _halves(a)
     ph, pl = _POW10_HIGH[k], _POW10_LOW[k]
@@ -390,24 +426,29 @@ def _times_pow10(a, k):
 
 
 def _line_tables():
-    """Per key ((sign * 21 + E + 4) * 17 + significant digits - 1) * 2 +
+    """Per key ((sign * 45 + E + 28) * 17 + significant digits - 1) * 2 +
     last cell of the row: the cell's text words with zeros where its digits
     go, the masks of the digits before and after the point, the shifts in
     bits that move them into place, and the length in bytes, separator
-    included."""
+    included. The longest line, the sign, 17 digits, the point, e-XX and
+    the separator, is 24 bytes."""
     text, before, after = bytearray(), bytearray(), bytearray()
     shift_before, shift_after, lengths = [], [], []
     for sign in (b"", b"-"):
-        for e in range(-4, 17):
+        for e in range(_E_MIN, 17):
             for s in range(1, 18):
-                if e < 0:  # 0.000ddd
+                tail = b""
+                if e < -4:  # d.ddde-XX
+                    lead, n_before, n_after = sign + b"\0" + b"." * (s > 1), 1, s - 1
+                    tail = b"e-%02d" % -e
+                elif e < 0:  # 0.000ddd
                     lead, n_before, n_after = sign + b"0." + b"0" * (-e - 1), 0, s
                 elif s > e + 1:  # ddd.ddd
                     lead, n_before, n_after = sign + b"\0" * (e + 1) + b".", e + 1, s - e - 1
                 else:  # ddd
                     lead, n_before, n_after = sign + b"\0" * (e + 1), e + 1, 0
                 for sep in b",\n":
-                    line = lead + b"\0" * n_after + bytes([sep])
+                    line = lead + b"\0" * n_after + tail + bytes([sep])
                     text += line.ljust(24, b"\0")
                     before += (b"\xff" * n_before).ljust(24, b"\0")
                     after += (b"\0" * n_before + b"\xff" * n_after).ljust(24, b"\0")
@@ -429,35 +470,67 @@ def _shift_up(words, bits, n):
     return out
 
 
+def _scaled(a, k, two):
+    """(hi, lo): hi + lo is a * 10**k for 0 <= k <= 44, hi the double
+    nearest it; two are the indices where k > 22. Exact for k <= 22.
+    Beyond, a * 10^22 = h + l exactly, h * 10^(k - 22) is made exactly and
+    l * 10^(k - 22) rounded, so hi + lo is within 2^-48 of the product
+    where that is at most 10^17."""
+    hi, lo = _times_pow10(a, k)
+    if two.size:
+        p = k[two] - 22
+        h, l = _times_pow10(hi[two], p)
+        l += lo[two] * _POW10[p]  # |l| <= 8 and this below 12: each rounds by <= 2^-49
+        hi[two] = s = h + l  # Fast-Two-Sum: s is the double nearest h + l, and
+        lo[two] = l - (s - h)  # this the rest, exactly, since |l| <= |h|
+    return hi, lo
+
+
 def _decimal(x):
-    """(E, D, ok) of float64 cells x: ok where x is 0 or 1e-4 <= |x| < 1e17,
-    and there ±D * 10^(E - 16), 10^16 <= D < 10^17 (D = 0 for 0), is x
-    rounded half to even to 17 significant digits. E is floor(log10 |x|),
-    corrected where the exact product falls outside [10^16, 10^17)."""
+    """(E, D, ok) of float64 cells x: ok where x is 0 or 10^-28 <= |x| <
+    10^17, and there ±D * 10^(E - 16), 10^16 <= D < 10^17 (D = 0 for 0),
+    is x rounded half to even to 17 significant digits, and E its exponent
+    as %.17g writes it. E starts from floor(log10 |x|), which is corrected
+    where the product falls outside [10^16, 10^17) and moved up where the
+    rounded D is 10^17. A product made in two steps (E < -6) within 2^-40
+    of a tie may round either way, so that cell is not ok: about one
+    two-step cell in 5 * 10^11, the exact ties among them."""
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-    ok = (e >= -4) & (e <= 16)
+    ok = (a >= _LEAST) & (a < 1e17)
     zero = a == 0
-    e[~ok], a[~ok] = 0, 1.0
-    e = e.astype(np.intp)
-    hi, lo = _times_pow10(a, 16 - e)
+    a[~ok] = 1.0
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = np.clip(e, _E_MIN, 16, out=e).astype(np.intp)  # log10 may be one off at either end
+    two = np.flatnonzero(e < -6)
+    hi, lo = _scaled(a, 16 - e, two)
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # hi ± ulp(hi)/2 may be outside
     if near.size:
+        # No step leaves [-28, 16]: x < 10^17 is scaled exactly at E = 16, and
+        # the least x at E = -28 scales to 10^16 + 0.83.
         h, l = hi[near], lo[near]
         step = ((h > 1e17) | (h == 1e17) & (l >= 0)).astype(np.intp)
         step -= (h < 1e16) | (h == 1e16) & (l < 0)
         fix = near[step != 0]
-        e[fix] += step[step != 0]
-        beyond = (e[fix] < -4) | (e[fix] > 16)
-        ok[fix[beyond]], e[fix[beyond]] = False, 0
-        fix = fix[~beyond]
-        hi[fix], lo[fix] = _times_pow10(a[fix], 16 - e[fix])
+        if fix.size:
+            e[fix] += step[step != 0]
+            k = 16 - e[fix]
+            hi[fix], lo[fix] = _scaled(a[fix], k, np.flatnonzero(k > 22))
+            two = np.union1d(two, fix)  # a step may cross E = -7
+            two = two[e[two] < -6]
     # hi is an even integer here, so rounding lo half to even rounds hi + lo
-    # so. No product rounds up to 10^17: the double below 10^(E + 1) gives
-    # at most 10^17 - 8.
+    # so. Only a two-step product rounds up to 10^17 (the double 1e-14 at
+    # E = -15 scales to 10^17 - 0.12); one step gives at most 10^17 - 8, as
+    # 10^(16 - E) is exact and the double below 10^(E + 1) is 10^(E + 1)
+    # less an ulp.
     D = hi.astype(np.int64)
     D += np.rint(lo).astype(np.int64)
+    if two.size:
+        l = lo[two]
+        ok[two[np.abs(np.abs(l - np.rint(l)) - 0.5) < 2.0**-40]] = False
+        up = two[D[two] == 10**17]
+        e[up] += 1
+        D[up] = 10**16
     D[zero] = 0
     ok |= zero
     return e, D, ok
@@ -503,16 +576,20 @@ def _format_rows(columns, integer):
     """The text of a block of rows, as a uint8 array: columns are (rows,
     width_i) arrays, integer flags each of their columns as %d, the others
     are %.17g. Integers below 2^53 in magnitude are exact as float64 and
-    written as it; other cells outside _decimal's range go through Python's
-    own %."""
+    written as it; the cells _decimal leaves out (nan, ±inf, magnitudes
+    below 10^-28 or from 10^17, and the rare two-step near-ties) and
+    integers of 2^53 or more go through Python's own %, all of a block's in
+    one list, and are put in place with one assignment."""
     values = np.hstack(columns, dtype=float)
     rows, width = values.shape
     x = values.ravel()
     e, D, ok = _decimal(x)
-    is_int = np.tile(integer, rows)
-    ok[is_int] &= np.abs(x[is_int]) < 2.0**53
+    whole = np.flatnonzero(integer)
+    ok.reshape(rows, width)[:, whole] &= np.abs(values[:, whole]) < 2.0**53
+    special = np.flatnonzero(~ok)
+    texts = _python_texts(columns, integer, x[special], special, width) if special.size else []
     digits, significant = _digits(D)
-    key = ((np.signbit(x) * 21 + e + 4) * 17 + significant - 1) * 2
+    key = ((np.signbit(x) * 45 + e - _E_MIN) * 17 + significant - 1) * 2
     key[width - 1::width] += 1
     del values, x, e, D, significant  # the block's peak memory is in what follows
 
@@ -521,22 +598,31 @@ def _format_rows(columns, integer):
     line |= _shift_up(digits, _SHIFT_AFTER[key], 3)
     line |= np.take(_TEXT, key, axis=1)
     length = _LENGTH[key]
-    special = np.flatnonzero(~ok)
-    if not special.size:
+    if not texts:
         return _end_to_end(line, length)
 
-    cells = [(c, j) for c in columns for j in range(c.shape[1])]
-    texts = []
-    for i, j in zip(*np.divmod(special, width)):
-        column, k = cells[j]
-        texts.append(("%d" if integer[j] else "%.17g") % column[i, k]
-                     + ("\n" if j == width - 1 else ","))
     line[:, special] = 0
-    length[special] = list(map(len, texts))
+    size = np.array(list(map(len, texts)))
+    length[special] = size
     out = _end_to_end(line, length)
-    for end, text in zip(np.cumsum(length)[special].tolist(), texts):
-        out[end - len(text):end] = np.frombuffer(text.encode(), np.uint8)
+    text = np.frombuffer("".join(texts).encode(), np.uint8)
+    start = np.cumsum(length)[special] - size  # of each text in out, and below in text
+    out[np.repeat(start - (np.cumsum(size) - size), size) + np.arange(len(text))] = text
     return out
+
+
+def _python_texts(columns, integer, values, cells, width):
+    """Python's %.17g of each of values, the cells at the flat indices cells
+    of a block of rows of width cells, and its separator; %d of an integer
+    cell's own value, which float64 may not hold (these are 2^53 or more)."""
+    row, j = np.divmod(cells, width)
+    last = (j == width - 1).tolist()
+    texts = [("%.17g\n" if end else "%.17g,") % v for v, end in zip(values.tolist(), last)]
+    first = np.cumsum([0] + [c.shape[1] for c in columns])  # each column's first cell
+    for i in np.flatnonzero(integer[j]).tolist():
+        c = np.searchsorted(first, j[i], "right") - 1
+        texts[i] = ("%d\n" if last[i] else "%d,") % columns[c][row[i], j[i] - first[c]]
+    return texts
 
 
 def _read_table(path, check_header):
@@ -652,10 +738,15 @@ def _reads(cells, kind):
 def save_csv(dataset, path):
     """Columns feature_0..feature_{D-1}, time, event[, cluster]; values
     rendered with 17 significant digits so the round trip is exact."""
+    _write_table(path, *_csv_table(dataset))
+
+
+def _csv_table(dataset):
+    """The header and columns save_csv writes of dataset."""
     labels = [] if dataset.labels is None else [dataset.labels]
     header = [f"feature_{i}" for i in range(dataset.features.shape[1])] + ["time", "event"]
-    _write_table(path, header + ["cluster"] * len(labels),
-                 [dataset.features, dataset.times, dataset.events, *labels])
+    return (header + ["cluster"] * len(labels),
+            [dataset.features, dataset.times, dataset.events, *labels])
 
 
 def load_csv(path):

@@ -669,8 +669,66 @@ class TestCliErrors:
             assert capsys.readouterr().err.splitlines()[-1] == (
                 f"error: {path}: cannot write: No space left on device")
         assert path.read_text() == "old\n"
-        assert sorted(os.listdir(path.parent)) == (
-            ["manifest", "test.csv", "train.csv"] if command == "simulate" else ["report.txt"])
+        # simulate's tables are renamed only with the manifest, so none is
+        assert os.listdir(path.parent) == [path.name]
+
+    @pytest.mark.parametrize("failing", ["train.csv", "test.csv", "manifest"])
+    def test_simulate_replaces_its_three_files_together(self, pipeline, tmp_path, monkeypatch,
+                                                        capsys, failing):
+        # a write to any one of the three temporaries fails: all three old
+        # files stay, the error names that one, and no temporary is left
+        out = tmp_path / "d"
+        out.mkdir()
+        for name in ("train.csv", "test.csv", "manifest"):
+            (out / name).write_text(f"old {name}\n")
+        real_open = open
+
+        class Failing:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            return Failing(f) if os.path.basename(file).startswith(failing + ".") else f
+
+        monkeypatch.setattr(datagen, "open", failing_open, raising=False)
+        capsys.readouterr()
+        assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {out / failing}: cannot write: No space left on device")
+        assert sorted(os.listdir(out)) == ["manifest", "test.csv", "train.csv"]
+        for name in ("train.csv", "test.csv", "manifest"):
+            assert (out / name).read_text() == f"old {name}\n"
+
+    def test_simulate_renames_nothing_until_all_three_are_written(self, pipeline, tmp_path,
+                                                                  monkeypatch):
+        # every temporary is complete before the first rename
+        out = tmp_path / "d"
+        real_replace = os.replace
+        seen = []
+
+        def replace(src, dst):
+            seen.append(sorted(os.listdir(out)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(datagen.os, "replace", replace)
+        assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
+                     "--out", str(out)]) == 0
+        pid = os.getpid()
+        assert seen[0] == sorted(f"{name}.{pid}.tmp" for name in ("train.csv", "test.csv",
+                                                                   "manifest"))
+        assert len(seen) == 3 and sorted(os.listdir(out)) == ["manifest", "test.csv",
+                                                              "train.csv"]
 
     def test_evaluate_row_mismatch(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

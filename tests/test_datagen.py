@@ -508,6 +508,15 @@ def written(path, header, columns):
     return path.read_bytes()
 
 
+def ulp_neighbours(x, n):
+    """x and the n doubles either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
 def pow10_neighbours():
     """Every power of ten from 1e-330 to 1e308 (the smallest underflow to 0
     or to subnormals) and the doubles one ulp either side."""
@@ -620,14 +629,94 @@ class TestWriteTable:
             tracemalloc.stop()
         assert peak <= 4.5e6, f"peak {peak / 1e6:.2f} MB"
 
+    def test_write_table_exponent_form_range(self, tmp_path):
+        # for every E that %.17g writes as e-05 to e-28: 10^E and two ulps
+        # either side, 17-digit decimals d.ddd...e(E) and the doubles nearest
+        # the points halfway between two of them, both signs; and the double
+        # 1e-14, just below 10^-14, whose product at E = -15 rounds up to 10^17
+        rng = np.random.default_rng(35)
+        cells = [1e-14]
+        for e in range(-28, -4):
+            cells += list(ulp_neighbours(float(f"1e{e}"), 2))
+            for d in rng.integers(10**16, 10**17, 40).tolist():
+                cells += [float(f"{d}e{e - 16}"), float(f"{d}5e{e - 17}")]
+        x = np.array(cells)
+        x = np.concatenate([x, -x])
+        # all but those below 10^-28 are written from arrays
+        assert datagen._decimal(x.copy())[2][np.abs(x) > 1e-28].all()
+        assert written(tmp_path / "t.csv", ["x"], [x]) == per_cell_text(["x"], [x])
+
+    def test_decimal_covers_1e_minus_28_to_1e17(self):
+        # every finite x with 10^-28 <= |x| < 10^17 (or 0) is written from
+        # arrays, and none below 10^-28; the double 1e-28 lies below 10^-28
+        rng = np.random.default_rng(36)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64)
+        exponents = rng.integers(1023 - 100, 1023 + 60, 10000, dtype=np.uint64)
+        bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        edges = [0.0, 5e-324, 1e-28, 1e-5, 1e17, *ulp_neighbours(1e-28, 2),
+                 *ulp_neighbours(1e17, 2)]
+        x = np.concatenate([bits.view(np.float64), pow10_neighbours(), edges])
+        x = x[np.isfinite(x)]
+        x = np.concatenate([x, -x])
+
+        def inside(v):
+            n, d = abs(v).as_integer_ratio()
+            return v == 0 or n * 10**28 >= d and abs(v) < 1e17
+
+        assert datagen._decimal(x.copy())[2].tolist() == list(map(inside, x.tolist()))
+
+    def test_two_step_product_is_renormalised_and_within_2_to_the_minus_48(self):
+        # hi is the double nearest hi + lo, so _decimal's checks against 10^16
+        # and 10^17 see the side of the product, and hi + lo is the product to
+        # within 2^-48
+        rng = np.random.default_rng(37)
+        x = 10.0**rng.uniform(-28, -6, 2000)
+        k = 16 - datagen._decimal(x.copy())[0]
+        hi, lo = datagen._scaled(x, k, np.flatnonzero(k > 22))
+        assert (k > 22).all() and (np.abs(lo) <= np.spacing(hi) / 2).all()
+        for v, p, h, l in zip(x.tolist(), k.tolist(), hi.tolist(), lo.tolist()):
+            n, d = v.as_integer_ratio()
+            h_n, h_d = h.as_integer_ratio()
+            l_n, l_d = l.as_integer_ratio()
+            # |(hi + lo) - v * 10^p| * 2^48 <= 1, in integers
+            error = abs((h_n * l_d + l_n * h_d) * d - n * 10**p * h_d * l_d)
+            assert error * 2**48 <= h_d * l_d * d
+
+    def test_write_table_near_ties_of_two_step_products(self, tmp_path):
+        # doubles x = m * 2^q at E = -7 to -10 whose x * 10^(16 - E) lies
+        # within 2^-41 of a half-integer, the exact ties among them: the
+        # two-step product, made to within 2^-48, leaves them to Python's %
+        cells = []
+        for k in range(23, 27):
+            for q in range(-90, -65):
+                r = -(q + k)  # the product is m * 5^k / 2^r
+                inverse = pow(5**k, -1, 2**r)
+                reach = 2**min(7, max(r - 41, 0))
+                for delta in range(1 - reach, reach):  # m * 5^k = 2^(r - 1) + delta mod 2^r
+                    for m in range((2**(r - 1) + delta) * inverse % 2**r, 2**53, 2**r):
+                        x = np.ldexp(float(m), q)
+                        n, d = x.as_integer_ratio()
+                        if m >= 2**52 and d <= n * 10**(k - 16) < 10 * d:
+                            cells.append(x)
+        x = np.array(cells)
+        assert len(x) > 100 and 3 * 2.0**-24 in cells  # an exact tie, at E = -7
+        ok = datagen._decimal(x.copy())[2]
+        assert not ok.any()
+        assert written(tmp_path / "t.csv", ["x"], [x]) == per_cell_text(["x"], [x])
+
     @pytest.mark.slow
     def test_write_table_random_bit_patterns(self, tmp_path):
-        # 10^6 random doubles: half of any exponent, half with exponents
-        # about the fixed-notation range 1e-4 <= |x| < 1e17
+        # 1.2 * 10^6 random doubles: a third of any exponent, a third with
+        # exponents about the fixed-notation range 1e-4 <= |x| < 1e17, and a
+        # third about the exponent-form range 1e-28 <= |x| < 1e-4
         rng = np.random.default_rng(20)
-        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
-        exponents = rng.integers(1023 - 16, 1023 + 59, 10**6 // 2, dtype=np.uint64)
-        bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        n = 12 * 10**5
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+        fixed = rng.integers(1023 - 16, 1023 + 59, n // 3, dtype=np.uint64)
+        small = rng.integers(1023 - 97, 1023 - 9, n // 3, dtype=np.uint64)
+        for start, exponents in ((1, fixed), (2, small)):
+            part = bits[start::3]
+            bits[start::3] = part & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
         x = bits.view(np.float64).reshape(-1, 8)
         header = [f"x{j}" for j in range(8)]
         assert written(tmp_path / "t.csv", header, [x]) == per_cell_text(header, [x])
