@@ -25,6 +25,7 @@ only as far as time, event and cluster reach and hands it those cells.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -312,8 +313,10 @@ def _replacing(*paths):
     and closed when it takes the next. The block takes every file. Once it
     completes, and only then, each temporary is renamed over its path; if
     anything raises first, every temporary is removed, so a failed write
-    leaves all of paths as they were. Any OSError, a rename's too, is raised
-    as '<path>: cannot write: <reason>', naming the path of the file then
+    leaves all of paths as they were. A path that is a directory fails
+    before any rename; a rename that fails for another reason leaves the
+    paths before it replaced. Any OSError, a rename's too, is raised as
+    '<path>: cannot write: <reason>', naming the path of the file then
     written, closed or renamed, not its temporary. A single file is taken
     with: with _replacing(path) as (f,)."""
     tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
@@ -330,6 +333,9 @@ def _replacing(*paths):
     try:
         yield files()
         current.close()
+        for at, path in enumerate(paths):  # a rename onto it would fail part way
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for at, (tmp, path) in enumerate(zip(tmps, paths)):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -578,16 +584,13 @@ def _format_rows(columns, integer):
     are %.17g. Integers below 2^53 in magnitude are exact as float64 and
     written as it; the cells _decimal leaves out (nan, ±inf, magnitudes
     below 10^-28 or from 10^17, and the rare two-step near-ties) and
-    integers of 2^53 or more go through Python's own %, all of a block's in
-    one list, and are put in place with one assignment."""
+    integers of 2^53 or more go through Python's own %."""
     values = np.hstack(columns, dtype=float)
     rows, width = values.shape
     x = values.ravel()
     e, D, ok = _decimal(x)
     whole = np.flatnonzero(integer)
     ok.reshape(rows, width)[:, whole] &= np.abs(values[:, whole]) < 2.0**53
-    special = np.flatnonzero(~ok)
-    texts = _python_texts(columns, integer, x[special], special, width) if special.size else []
     digits, significant = _digits(D)
     key = ((np.signbit(x) * 45 + e - _E_MIN) * 17 + significant - 1) * 2
     key[width - 1::width] += 1
@@ -598,31 +601,22 @@ def _format_rows(columns, integer):
     line |= _shift_up(digits, _SHIFT_AFTER[key], 3)
     line |= np.take(_TEXT, key, axis=1)
     length = _LENGTH[key]
-    if not texts:
+    special = np.flatnonzero(~ok)
+    if not special.size:
         return _end_to_end(line, length)
 
+    cells = [(c, j) for c in columns for j in range(c.shape[1])]
+    texts = []
+    for i, j in zip(*np.divmod(special, width)):
+        column, k = cells[j]
+        texts.append(("%d" if integer[j] else "%.17g") % column[i, k]
+                     + ("\n" if j == width - 1 else ","))
     line[:, special] = 0
-    size = np.array(list(map(len, texts)))
-    length[special] = size
+    length[special] = list(map(len, texts))
     out = _end_to_end(line, length)
-    text = np.frombuffer("".join(texts).encode(), np.uint8)
-    start = np.cumsum(length)[special] - size  # of each text in out, and below in text
-    out[np.repeat(start - (np.cumsum(size) - size), size) + np.arange(len(text))] = text
+    for end, text in zip(np.cumsum(length)[special].tolist(), texts):
+        out[end - len(text):end] = np.frombuffer(text.encode(), np.uint8)
     return out
-
-
-def _python_texts(columns, integer, values, cells, width):
-    """Python's %.17g of each of values, the cells at the flat indices cells
-    of a block of rows of width cells, and its separator; %d of an integer
-    cell's own value, which float64 may not hold (these are 2^53 or more)."""
-    row, j = np.divmod(cells, width)
-    last = (j == width - 1).tolist()
-    texts = [("%.17g\n" if end else "%.17g,") % v for v, end in zip(values.tolist(), last)]
-    first = np.cumsum([0] + [c.shape[1] for c in columns])  # each column's first cell
-    for i in np.flatnonzero(integer[j]).tolist():
-        c = np.searchsorted(first, j[i], "right") - 1
-        texts[i] = ("%d\n" if last[i] else "%d,") % columns[c][row[i], j[i] - first[c]]
-    return texts
 
 
 def _read_table(path, check_header):

@@ -730,6 +730,24 @@ class TestCliErrors:
         assert len(seen) == 3 and sorted(os.listdir(out)) == ["manifest", "test.csv",
                                                               "train.csv"]
 
+    def test_simulate_onto_a_directory_replaces_none_of_its_files(self, pipeline, tmp_path,
+                                                                  capsys):
+        # test.csv is a directory, so its rename would fail after train.csv's:
+        # the check before the renames keeps train.csv and manifest old too
+        out = tmp_path / "d"
+        (out / "test.csv").mkdir(parents=True)
+        for name in ("train.csv", "manifest"):
+            (out / name).write_text(f"old {name}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {out / 'test.csv'}: cannot write: Is a directory")
+        assert sorted(os.listdir(out)) == ["manifest", "test.csv", "train.csv"]
+        assert os.listdir(out / "test.csv") == []
+        for name in ("train.csv", "manifest"):
+            assert (out / name).read_text() == f"old {name}\n"
+
     def test_evaluate_row_mismatch(self, pipeline, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         pred.write_text("row_id,cluster,pred_time\n0,0,1.0\n")
