@@ -12,8 +12,9 @@ writes each tensor from its own memory, copying none; the reader makes
 one read bounded by the file's size (so a pipe or /dev/zero reads as
 empty) and parses that buffer with one cursor. simulate's manifest is a
 run config that simulates the same tables again. Every file a command
-writes replaces its target only once complete (datagen._replacing),
-simulate's two tables and manifest all three together, and
+writes replaces its target only once complete (table.replacing),
+simulate's two tables and manifest all three together, train checks its
+checkpoint and trace paths before the fit (table.check_writable), and
 every failure ends in one 'error:' line, an OSError's as '<file>: <reason>'.
 """
 
@@ -33,6 +34,7 @@ from .datagen import (
     PreprocessStats,
     SurvMnistConfig,
     SyntheticConfig,
+    csv_table,
     gen_survmnist,
     gen_synthetic,
     inverse_time_transform,
@@ -41,14 +43,10 @@ from .datagen import (
     preprocess,
     split_size,
     train_test_split,
-    _csv_table,
-    _read_table,
-    _replacing,
-    _write_rows,
-    _write_table,
 )
 from .errors import ConfigError, DomainError, FormatError, ShapeError, SurvmixError, TrainingError
 from .model import ModelParams, TrainConfig
+from .table import check_writable, read_table, replacing, write_rows, write_table
 
 CHECKPOINT_MAGIC = b"VDSC"
 CHECKPOINT_VERSION = 2
@@ -149,7 +147,7 @@ def save_checkpoint(params, stats, config_values, path):
             raise FormatError(f"cannot store a string of {len(data)} bytes in a checkpoint")
         return struct.pack("<H", len(data)) + data
 
-    with _replacing(path) as (f,):  # a failed save leaves path as it was
+    with replacing(path) as (f,):  # a failed save leaves path as it was
         f.write(CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(config_values)))
         for key in sorted(config_values):
             f.write(string(key) + string(str(config_values[key])))
@@ -263,29 +261,23 @@ def cmd_simulate(kind, values, out_dir):
     text = f"# kind = {kind}\n" + "".join(f"{key} = {values[key]}\n" for key in sorted(values))
     # none replaces its old self until all three are complete
     names = ("train.csv", "test.csv", "manifest")
-    with _replacing(*(os.path.join(out_dir, name) for name in names)) as files:
+    with replacing(*(os.path.join(out_dir, name) for name in names)) as files:
         for split in (train, test):
-            _write_rows(next(files), *_csv_table(split))
+            write_rows(next(files), *csv_table(split))
         next(files).write(text.encode())
 
 
 def cmd_train(data_path, values, out_path):
     config = train_config_from(values)
-    tmp = f"{out_path}.{os.getpid()}.tmp"  # _replacing's, tried before the fit
-    try:
-        open(tmp, "wb").close()
-        os.remove(tmp)
-    except OSError as exc:
-        raise OSError(f"{out_path}: cannot write: {exc.strerror}") from None
-    if os.path.isdir(out_path):
-        raise OSError(f"{out_path}: cannot write: Is a directory")
+    trace_path = out_path + ".trace.csv"
+    check_writable(out_path, trace_path)  # replacing's checks, before the fit, not after it
     dataset = load_csv(data_path)
     model.check_features(dataset.features, config)  # raw: preprocess may map them into range
     dataset, stats = preprocess(dataset)
     params, trace = model.fit(dataset, config)
     save_checkpoint(params, stats, values, out_path)
-    _write_table(out_path + ".trace.csv", ["epoch", "elbo"],
-                 [np.arange(len(trace)), np.asarray(trace, dtype=float)])
+    write_table(trace_path, ["epoch", "elbo"],
+                [np.arange(len(trace)), np.asarray(trace, dtype=float)])
 
 
 def cmd_predict(checkpoint_path, data_path, out_path):
@@ -308,8 +300,8 @@ def cmd_predict(checkpoint_path, data_path, out_path):
                           f"or pred_time {t_hat[bad[0]]}")
     header = (["row_id", "cluster"] + [f"p_{c}" for c in range(pred.posterior.shape[1])]
               + ["pred_time"] + [f"latent_{d}" for d in range(pred.latent.shape[1])])
-    _write_table(out_path, header,
-                 [np.arange(len(dataset)), pred.labels, pred.posterior, t_hat, pred.latent])
+    write_table(out_path, header,
+                [np.arange(len(dataset)), pred.labels, pred.posterior, t_hat, pred.latent])
 
 
 def _load_predictions(predictions_path, data_path):
@@ -325,7 +317,7 @@ def _load_predictions(predictions_path, data_path):
                 raise FormatError(f"{predictions_path}: missing column {required!r}")
         return ["row_id", "cluster", "pred_time"], ["row_id", "cluster"]
 
-    values, ints = _read_table(predictions_path, check_header)
+    values, ints = read_table(predictions_path, check_header)
     dataset = load_outcomes(data_path)
     if not np.array_equal(ints["row_id"], np.arange(len(dataset))):
         raise FormatError(
@@ -346,7 +338,7 @@ def cmd_evaluate(predictions_path, data_path, out_path):
         raise FormatError(f"{data_path}: no rows to evaluate")
     report = metrics.evaluate_predictions(dataset.times, dataset.events, t_hat=t_hat, risk=-t_hat,
                                           true_labels=dataset.labels, pred_labels=clusters)
-    with _replacing(out_path) as (f,):
+    with replacing(out_path) as (f,):
         f.write(report.to_text().encode())
 
 
@@ -357,7 +349,7 @@ def cmd_km_export(predictions_path, data_path, out_path):
         mask = clusters == c
         times, surv = metrics.kaplan_meier(dataset.times[mask], dataset.events[mask])
         curves.append((np.full(len(times), c), times, surv))
-    _write_table(out_path, ["cluster", "time", "survival"], map(np.concatenate, zip(*curves)))
+    write_table(out_path, ["cluster", "time", "survival"], map(np.concatenate, zip(*curves)))
 
 
 def build_parser():

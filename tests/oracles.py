@@ -169,9 +169,9 @@ def save_csv_brute(dataset, path):
 
 
 def write_table_brute(path, header, columns):
-    """A table as the per-row writer wrote it: every row one Python %
-    over a line of %d (integer columns) and %.17g (all others) cells,
-    the header line first, lines ending in LF."""
+    """A table as the per-row writer before table.write_rows wrote it: every
+    row one Python % over a line of %d (integer columns) and %.17g (all
+    others) cells, the header line first, lines ending in LF."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                     for c in columns for _ in range(c.shape[1])) + "\n"
@@ -182,12 +182,13 @@ def write_table_brute(path, header, columns):
 
 
 def read_table_brute(path, names, integer_names):
-    """The named columns of a comma-separated table, every row split in
-    full: (an (N, len(names)) float array, {integer name: int64 array}),
-    or the message of the first bad row. A row is bad if its width is not
-    the header's, or else at its first named cell, in row order, that
-    float rejects, or else at its first integer cell, in integer_names
-    order, that int rejects or int64 cannot hold."""
+    """table.read_table's reference: the named columns of a comma-separated
+    table, every row split in full: (an (N, len(names)) float array,
+    {integer name: int64 array}), or the message of the first bad row. A
+    row is bad if its width is not the header's, or else at its first
+    named cell, in row order, that float rejects, or else at its first
+    integer cell, in integer_names order, that int rejects or int64
+    cannot hold."""
     with open(path, errors="replace") as f:
         lines = [line.rstrip("\n") for line in f]
     header = lines[0].split(",")

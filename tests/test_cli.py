@@ -37,7 +37,7 @@ from survmix.datagen import (
     save_csv,
 )
 from survmix.errors import ConfigError, FormatError, ShapeError
-from survmix import datagen, metrics, model
+from survmix import datagen, metrics, model, table
 from survmix.model import ModelParams, TrainConfig, init_params
 
 
@@ -659,7 +659,7 @@ class TestCliErrors:
             f = real_open(file, *args, **kwargs)
             return Filling(f) if os.path.basename(file).startswith(path.name + ".") else f
 
-        monkeypatch.setattr(datagen, "open", filling_open, raising=False)
+        monkeypatch.setattr(table, "open", filling_open, raising=False)
         capsys.readouterr()
         if isinstance(fault, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
@@ -700,7 +700,7 @@ class TestCliErrors:
             f = real_open(file, *args, **kwargs)
             return Failing(f) if os.path.basename(file).startswith(failing + ".") else f
 
-        monkeypatch.setattr(datagen, "open", failing_open, raising=False)
+        monkeypatch.setattr(table, "open", failing_open, raising=False)
         capsys.readouterr()
         assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
                      "--out", str(out)]) == 1
@@ -721,7 +721,7 @@ class TestCliErrors:
             seen.append(sorted(os.listdir(out)))
             real_replace(src, dst)
 
-        monkeypatch.setattr(datagen.os, "replace", replace)
+        monkeypatch.setattr(table.os, "replace", replace)
         assert main(["simulate", "--kind", "synthetic", "--config", pipeline["cfg"],
                      "--out", str(out)]) == 0
         pid = os.getpid()
@@ -926,23 +926,31 @@ class TestCliErrors:
         assert errors == [f"error: {message}"]
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("out, reason", [
-        ("missing/m.ckpt", "No such file or directory"), ("ckpt_dir", "Is a directory")])
+    @pytest.mark.parametrize("out, unwritable, reason", [
+        pytest.param("missing/m.ckpt", "missing/m.ckpt", "No such file or directory",
+                     id="missing/m.ckpt-No such file or directory"),
+        pytest.param("ckpt_dir", "ckpt_dir", "Is a directory", id="ckpt_dir-Is a directory"),
+        pytest.param("m.ckpt", "m.ckpt.trace.csv", "Is a directory",
+                     id="m.ckpt.trace.csv-Is a directory")])
     def test_unwritable_out_is_refused_before_the_fit(self, pipeline, tmp_path, capsys,
-                                                      monkeypatch, out, reason):
+                                                      monkeypatch, out, unwritable, reason):
         # found after the fit, it would cost the whole run and name a temporary
-        # file; the error names the path given, and nothing is left behind
+        # file; the error names the path that cannot be written, the checkpoint
+        # or its trace, and nothing is left behind or replaced
         monkeypatch.setattr(model, "fit", lambda *a: pytest.fail("fit ran"))
-        (tmp_path / "ckpt_dir").mkdir()
-        out = str(tmp_path / out)
+        for name in ("ckpt_dir", "m.ckpt.trace.csv"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "m.ckpt").write_text("old\n")
         capsys.readouterr()
         code = main(["train", "--data", os.path.join(pipeline["data"], "train.csv"),
-                     "--config", pipeline["cfg"], "--out", out])
+                     "--config", pipeline["cfg"], "--out", str(tmp_path / out)])
         errors = [msg for msg in capsys.readouterr().err.splitlines()
                   if not msg.startswith("notice:")]
         assert code == 1
-        assert errors == [f"error: {out}: cannot write: {reason}"]
-        assert os.listdir(tmp_path) == ["ckpt_dir"] and os.listdir(tmp_path / "ckpt_dir") == []
+        assert errors == [f"error: {tmp_path / unwritable}: cannot write: {reason}"]
+        assert sorted(os.listdir(tmp_path)) == ["ckpt_dir", "m.ckpt", "m.ckpt.trace.csv"]
+        assert (tmp_path / "m.ckpt").read_text() == "old\n"
+        assert os.listdir(tmp_path / "ckpt_dir") == os.listdir(tmp_path / "m.ckpt.trace.csv") == []
 
     def test_pretraining_more_clusters_than_rows_fails_before_any_epoch(self, pipeline, tmp_path,
                                                                         capsys, monkeypatch):
@@ -1094,7 +1102,7 @@ class TestCliErrors:
         root = tmp_path_factory.mktemp("long")
         rng = np.random.default_rng(0)
         n, d = 25_000, 3
-        assert datagen._BLOCK_CELLS // (d + 3) <= 20_000
+        assert table._BLOCK_CELLS // (d + 3) <= 20_000
         data = SurvivalDataset(rng.standard_normal((n, d)), rng.uniform(0.5, 2.0, n),
                                rng.integers(0, 2, n), rng.integers(0, 3, n))
         save_csv(data, root / "data.csv")
@@ -1354,7 +1362,7 @@ class TestFootprint:
         assert done.returncode == 0, done.stderr
         loaded = json.loads(done.stdout.splitlines()[-1])
         assert loaded["modules"] == ["baselines", "cli", "datagen", "dist", "errors",
-                                     "metrics", "model", "nnet"]
+                                     "metrics", "model", "nnet", "table"]
         assert loaded["scipy"] == []
         assert "acc = NA" not in (tmp_path / "report.txt").read_text()
 

@@ -13,7 +13,7 @@ from scipy import stats
 
 from oracles import read_table_brute, save_csv_brute, write_table_brute
 
-from survmix import datagen
+from survmix import table
 from survmix.datagen import (
     PreprocessStats,
     SurvivalDataset,
@@ -431,7 +431,7 @@ class TestReadTable:
             def check_header(header):
                 return [header[j] for j in names], [header[j] for j in integers]
             try:
-                got = datagen._read_table(path, check_header)
+                got = table.read_table(path, check_header)
             except FormatError as exc:
                 got = exc
             expected = read_table_brute(path, [header[j] for j in names],
@@ -448,7 +448,7 @@ class TestReadTable:
                     assert values.tobytes() == expected[1][name].tobytes()
             return expected
 
-        with mock.patch.object(datagen, "_BLOCK_CELLS", block):
+        with mock.patch.object(table, "_BLOCK_CELLS", block):
             full, used = read(range(width)), read(columns)
         if not isinstance(full, str):
             assert not isinstance(used, str), used
@@ -477,19 +477,19 @@ class TestReadTable:
         path = tmp_path / "table.csv"
         path.write_text("a\n" + body)
         check_header = lambda header: (["a"], ["a"] if integer else [])
-        with warnings.catch_warnings(), mock.patch.object(datagen, "_BLOCK_CELLS", block):
+        with warnings.catch_warnings(), mock.patch.object(table, "_BLOCK_CELLS", block):
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match=re.escape(
                     f"table.csv: row {row}: non-numeric cell "
                     "(could not convert string to float: '')")):
-                datagen._read_table(path, check_header)
+                table.read_table(path, check_header)
 
     def test_repeated_header_name_is_rejected(self, tmp_path):
         # whichever of the two columns a reader took, the other is lost
         path = tmp_path / "table.csv"
         path.write_text("a,b,a\n1,2,3\n")
         with pytest.raises(FormatError, match=r"table.csv: repeated column 'a'$"):
-            datagen._read_table(path, lambda header: (["b"], []))
+            table.read_table(path, lambda header: (["b"], []))
 
 
 def per_cell_text(header, columns):
@@ -504,7 +504,7 @@ def per_cell_text(header, columns):
 
 
 def written(path, header, columns):
-    datagen._write_table(path, header, columns)
+    table.write_table(path, header, columns)
     return path.read_bytes()
 
 
@@ -542,7 +542,7 @@ class TestWriteTable:
         header = ["x", "i", "y", "z"]
         block = data.draw(st.integers(8, 64), label="block")
         path = tmp_path_factory.getbasetemp() / "cells.csv"
-        with mock.patch.object(datagen, "_BLOCK_CELLS", block):
+        with mock.patch.object(table, "_BLOCK_CELLS", block):
             assert written(path, header, columns) == per_cell_text(header, columns)
 
     def test_write_table_powers_of_ten_and_their_neighbours(self, tmp_path):
@@ -598,7 +598,7 @@ class TestWriteTable:
         # the first block is formatted and written, the second fails
         path = tmp_path / "pred.csv"
         path.write_text("old\n")
-        format_rows = datagen._format_rows
+        format_rows = table._format_rows
         blocks = []
 
         def failing(*args):
@@ -607,11 +607,11 @@ class TestWriteTable:
             blocks.append(format_rows(*args))
             return blocks[-1]
 
-        monkeypatch.setattr(datagen, "_format_rows", failing)
-        monkeypatch.setattr(datagen, "_BLOCK_CELLS", 8 * 3 * 10)
+        monkeypatch.setattr(table, "_format_rows", failing)
+        monkeypatch.setattr(table, "_BLOCK_CELLS", 8 * 3 * 10)
         message = re.escape(f"{path}: cannot write: No space left on device")
         with pytest.raises(type(fault), match=message if isinstance(fault, OSError) else None):
-            datagen._write_table(path, ["a", "b", "c"], [np.ones((100, 3))])
+            table.write_table(path, ["a", "b", "c"], [np.ones((100, 3))])
         assert len(blocks) == 1
         assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["pred.csv"]
 
@@ -643,7 +643,7 @@ class TestWriteTable:
         x = np.array(cells)
         x = np.concatenate([x, -x])
         # all but those below 10^-28 are written from arrays
-        assert datagen._decimal(x.copy())[2][np.abs(x) > 1e-28].all()
+        assert table._decimal(x.copy())[2][np.abs(x) > 1e-28].all()
         assert written(tmp_path / "t.csv", ["x"], [x]) == per_cell_text(["x"], [x])
 
     def test_decimal_covers_1e_minus_28_to_1e17(self):
@@ -663,7 +663,7 @@ class TestWriteTable:
             n, d = abs(v).as_integer_ratio()
             return v == 0 or n * 10**28 >= d and abs(v) < 1e17
 
-        assert datagen._decimal(x.copy())[2].tolist() == list(map(inside, x.tolist()))
+        assert table._decimal(x.copy())[2].tolist() == list(map(inside, x.tolist()))
 
     def test_two_step_product_is_renormalised_and_within_2_to_the_minus_48(self):
         # hi is the double nearest hi + lo, so _decimal's checks against 10^16
@@ -671,8 +671,8 @@ class TestWriteTable:
         # within 2^-48
         rng = np.random.default_rng(37)
         x = 10.0**rng.uniform(-28, -6, 2000)
-        k = 16 - datagen._decimal(x.copy())[0]
-        hi, lo = datagen._scaled(x, k, np.flatnonzero(k > 22))
+        k = 16 - table._decimal(x.copy())[0]
+        hi, lo = table._scaled(x, k, np.flatnonzero(k > 22))
         assert (k > 22).all() and (np.abs(lo) <= np.spacing(hi) / 2).all()
         for v, p, h, l in zip(x.tolist(), k.tolist(), hi.tolist(), lo.tolist()):
             n, d = v.as_integer_ratio()
@@ -700,7 +700,7 @@ class TestWriteTable:
                             cells.append(x)
         x = np.array(cells)
         assert len(x) > 100 and 3 * 2.0**-24 in cells  # an exact tie, at E = -7
-        ok = datagen._decimal(x.copy())[2]
+        ok = table._decimal(x.copy())[2]
         assert not ok.any()
         assert written(tmp_path / "t.csv", ["x"], [x]) == per_cell_text(["x"], [x])
 
